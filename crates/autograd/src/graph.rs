@@ -145,11 +145,6 @@ impl Graph {
         self.input(OpKind::Constant, None, value, false)
     }
 
-    /// [`Graph::constant`] with a diagnostic name.
-    pub fn named_constant(&self, name: impl Into<String>, value: Tensor) -> Var {
-        self.input(OpKind::Constant, Some(name.into()), value, false)
-    }
-
     fn input(&self, kind: OpKind, label: Option<String>, value: Tensor, grad: bool) -> Var {
         self.push(Node {
             value: Rc::new(value),

@@ -15,9 +15,7 @@ use rand::SeedableRng;
 use sthsl_autograd::{Graph, ParamStore, ParamVars, Var};
 use sthsl_data::predictor::sanitize_counts;
 use sthsl_data::{CrimeDataset, FitReport, Predictor, Split};
-use sthsl_graphcheck::{
-    AuditOptions, AuditReport, OptimizeGoal, OptimizedTape, ReplayVerdict, RewriteOptions,
-};
+use sthsl_graphcheck::{AuditOptions, AuditReport};
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// One audit-ready sample graph: `(graph, loss, named parameter vars)`, as
@@ -38,6 +36,19 @@ pub struct StHsl {
     cols: usize,
     num_categories: usize,
     window: usize,
+}
+
+/// What one forward pass records beyond the prediction's own ancestors.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Objective<'a> {
+    /// Inference: only what the prediction reads. The self-supervised
+    /// branches (infomax, the cross-view contrastive loss and, unless the
+    /// head reads it, the local view) are not recorded.
+    Predict,
+    /// Training: the prediction plus every active self-supervised loss.
+    /// `corrupt_perm` is a region permutation enabling the infomax
+    /// corruption branch.
+    Train { corrupt_perm: Option<&'a [usize]> },
 }
 
 /// Variables produced by one forward pass that the training objective needs.
@@ -99,16 +110,13 @@ impl StHsl {
         self.store.num_scalars()
     }
 
-    /// One forward pass over a z-scored window.
-    ///
-    /// `zscored`: `[R, Tw, C]`. `corrupt_perm`: a region permutation enabling
-    /// the infomax corruption branch (training only).
+    /// One forward pass over a z-scored window (`zscored`: `[R, Tw, C]`).
     pub(crate) fn forward(
         &self,
         g: &Graph,
         pv: &ParamVars,
         zscored: &Tensor,
-        corrupt_perm: Option<&[usize]>,
+        objective: Objective<'_>,
     ) -> Result<ForwardArtifacts> {
         let ab = &self.cfg.ablation;
         let (r, tw, c) = (self.rows * self.cols, zscored.shape()[1], self.num_categories);
@@ -125,15 +133,28 @@ impl StHsl {
             )));
         }
         let d = self.cfg.d;
+        let (losses, corrupt_perm) = match objective {
+            Objective::Predict => (false, None),
+            Objective::Train { corrupt_perm } => (true, corrupt_perm),
+        };
 
         // (1) Embedding layer, Eq. 1.
         let e = self.embedding.forward(g, pv, zscored)?; // [R,Tw,C,d]
 
         // (2) Local multi-view encoder, Eqs. 2–3 (handles its own ablations).
-        let h_local = self.local.forward(g, pv, e)?; // [R,Tw,C,d]
-        let local_pooled = {
-            let m = g.mean_axis(h_local, 1)?; // [R,C,d]
-            m
+        // Inference records it only when the head reads the local view. The
+        // training tape always records it, even where no loss reads it
+        // ("w/o ConL"), so its nodes and dropout draws stay as they were.
+        let local_pooled = if losses || !ab.global_branch || ab.fusion {
+            let h_local = self.local.forward(g, pv, e)?; // [R,Tw,C,d]
+            Some(g.mean_axis(h_local, 1)?) // [R,C,d]
+        } else {
+            None
+        };
+        let local_view = || {
+            local_pooled.ok_or_else(|| {
+                TensorError::Invalid("StHsl::forward: local view was not recorded".into())
+            })
         };
 
         // (3) Global branch. Following Fig. 3, this is a *parallel* view: the
@@ -181,20 +202,21 @@ impl StHsl {
             }
 
             // (4b) Cross-view contrastive, Eq. 8.
-            if ab.contrastive && ab.local_encoder {
-                contrastive = Some(contrastive_loss(g, local_pooled, global_pooled, self.cfg.tau)?);
+            if losses && ab.contrastive && ab.local_encoder {
+                contrastive =
+                    Some(contrastive_loss(g, local_view()?, global_pooled, self.cfg.tau)?);
             }
 
             // (5) Prediction, Eq. 9.
             if ab.fusion {
-                let fused = g.concat(&[local_pooled, global_pooled], 2)?;
+                let fused = g.concat(&[local_view()?, global_pooled], 2)?;
                 self.head.forward(g, pv, fused)?
             } else {
                 self.head.forward(g, pv, global_pooled)?
             }
         } else {
             // "w/o Global": local-only prediction.
-            self.head.forward(g, pv, local_pooled)?
+            self.head.forward(g, pv, local_view()?)?
         };
 
         Ok(ForwardArtifacts { pred, infomax_loss, contrastive_loss: contrastive })
@@ -211,7 +233,7 @@ impl StHsl {
         target: &Tensor,
         corrupt_perm: Option<&[usize]>,
     ) -> Result<Var> {
-        let art = self.forward(g, pv, zscored, corrupt_perm)?;
+        let art = self.forward(g, pv, zscored, Objective::Train { corrupt_perm })?;
         let t = g.constant(target.clone());
         let mut loss = g.mse(art.pred, t)?;
         if let Some(li) = art.infomax_loss {
@@ -354,7 +376,7 @@ impl StHsl {
             .iter()
             .map(|window| {
                 let z = data.zscore(window);
-                let art = self.forward(&g, &pv, &z, None)?;
+                let art = self.forward(&g, &pv, &z, Objective::Predict)?;
                 Ok(sanitize_counts(g.value(art.pred).as_ref().clone()))
             })
             .collect()
@@ -450,10 +472,6 @@ impl StHsl {
         data: &CrimeDataset,
         max_accum_depth: Option<u64>,
     ) -> Result<AuditReport> {
-        let (g, loss, params) = self.audit_artifacts(data)?;
-        let spec = g.export_tape();
-        let indexed: Vec<(String, usize)> =
-            params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
         let mut opts = AuditOptions {
             allow_unreachable: self.expected_inactive_prefixes(),
             ..AuditOptions::default()
@@ -461,7 +479,7 @@ impl StHsl {
         if let Some(depth) = max_accum_depth {
             opts.max_accum_depth = depth;
         }
-        Ok(sthsl_graphcheck::audit("ST-HSL", &spec, loss.index(), &indexed, &opts))
+        Ok(audit_graph(&self.audit_artifacts(data)?, &opts))
     }
 
     /// Build the inference-mode (serving) graph: one forward pass to the
@@ -470,10 +488,6 @@ impl StHsl {
     /// `(graph, root, named params)` where `root` is a scalar `sum_all`
     /// probe over the prediction — the audit passes want a scalar root, and
     /// everything the prediction needs is an ancestor of the probe.
-    ///
-    /// This is the tape the [`Self::optimize_tape`] `Forward` profile
-    /// rewrites: without gradient-order obligations the optimizer can merge
-    /// and sweep far more aggressively than on the training tape.
     pub fn serving_artifacts(&self, data: &CrimeDataset) -> Result<AuditGraph> {
         let g = Graph::new();
         let pv = self.store.inject(&g);
@@ -482,7 +496,7 @@ impl StHsl {
         })?;
         let sample = data.sample(day)?;
         let z = data.zscore(&sample.input);
-        let art = self.forward(&g, &pv, &z, None)?;
+        let art = self.forward(&g, &pv, &z, Objective::Predict)?;
         let root = g.sum_all(art.pred);
         Ok((g, root, self.store.named_vars(&pv)))
     }
@@ -504,70 +518,17 @@ impl StHsl {
         out
     }
 
-    /// Run the audit-certified tape optimizer over the graph this model
-    /// builds.
-    ///
-    /// * [`OptimizeGoal::ForwardBackward`] rewrites the *training* tape
-    ///   (loss output, corruption branch active) under the conservative
-    ///   gradient-preserving rules.
-    /// * [`OptimizeGoal::Forward`] rewrites the *serving* tape (prediction
-    ///   output, inference graph).
-    ///
-    /// Returns the recording graph, its output index, and the optimized
-    /// tape, so the caller can replay-verify via
-    /// [`sthsl_graphcheck::verify_bit_equivalence`].
-    pub fn optimize_tape(
-        &self,
-        data: &CrimeDataset,
-        goal: OptimizeGoal,
-    ) -> Result<(Graph, usize, OptimizedTape)> {
-        let ((g, out, params), allow) = match goal {
-            OptimizeGoal::ForwardBackward => {
-                (self.audit_artifacts(data)?, self.expected_inactive_prefixes())
-            }
-            OptimizeGoal::Forward => {
-                (self.serving_artifacts(data)?, self.expected_serving_inactive_prefixes())
-            }
+    /// Run the static audit over the serving tape
+    /// ([`Self::serving_artifacts`]), with the parameters that only feed the
+    /// self-supervised losses expected inactive
+    /// ([`Self::expected_serving_inactive_prefixes`]). `sthsl serve` refuses
+    /// to start on a report with errors.
+    pub fn serving_audit(&self, data: &CrimeDataset) -> Result<AuditReport> {
+        let opts = AuditOptions {
+            allow_unreachable: self.expected_serving_inactive_prefixes(),
+            ..AuditOptions::default()
         };
-        let spec = g.export_tape();
-        let indexed: Vec<(String, usize)> =
-            params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
-        let audit_opts = AuditOptions { allow_unreachable: allow, ..AuditOptions::default() };
-        let rw = match goal {
-            OptimizeGoal::ForwardBackward => RewriteOptions::default(),
-            OptimizeGoal::Forward => RewriteOptions::forward(),
-        };
-        let opt =
-            sthsl_graphcheck::optimize("ST-HSL", &spec, out.index(), &indexed, &audit_opts, &rw)
-                .map_err(|e| TensorError::Invalid(e.to_string()))?;
-        Ok((g, out.index(), opt))
-    }
-
-    /// [`Self::optimize_tape`] followed by the runtime replay harness:
-    /// every surviving node value (and, for the training goal, every
-    /// parameter gradient) must be `to_bits`-identical to the recording
-    /// graph. Returns the optimized tape and the replay verdict.
-    pub fn optimize_and_verify(
-        &self,
-        data: &CrimeDataset,
-        goal: OptimizeGoal,
-    ) -> Result<(OptimizedTape, ReplayVerdict)> {
-        let (g, out, opt) = self.optimize_tape(data, goal)?;
-        let replay = match goal {
-            // The training tape draws dropout masks from the seeded stream;
-            // an equal seed reproduces them draw for draw.
-            OptimizeGoal::ForwardBackward => Graph::training(self.cfg.seed),
-            OptimizeGoal::Forward => Graph::new(),
-        };
-        let verdict = sthsl_graphcheck::verify_bit_equivalence(&g, out, &opt, &replay)
-            .map_err(TensorError::Invalid)?;
-        Ok((opt, verdict))
-    }
-
-    /// Fusion-candidate analysis of the training tape (advisory).
-    pub fn fusion_report(&self, data: &CrimeDataset) -> Result<sthsl_graphcheck::FusionReport> {
-        let (g, _, _) = self.audit_artifacts(data)?;
-        Ok(sthsl_graphcheck::fusion::analyze("ST-HSL", &g.export_tape()))
+        Ok(audit_graph(&self.serving_artifacts(data)?, &opts))
     }
 
     /// Train with the full fault-tolerant runtime: checkpointing, resume,
@@ -583,6 +544,13 @@ impl StHsl {
     }
 }
 
+/// Audit one recorded graph under `opts`.
+fn audit_graph((g, root, params): &AuditGraph, opts: &AuditOptions) -> AuditReport {
+    let indexed: Vec<(String, usize)> =
+        params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
+    sthsl_graphcheck::audit("ST-HSL", &g.export_tape(), root.index(), &indexed, opts)
+}
+
 impl Predictor for StHsl {
     fn name(&self) -> String {
         "ST-HSL".into()
@@ -596,7 +564,7 @@ impl Predictor for StHsl {
         let g = Graph::new();
         let pv = self.store.inject(&g);
         let z = data.zscore(window);
-        let art = self.forward(&g, &pv, &z, None)?;
+        let art = self.forward(&g, &pv, &z, Objective::Predict)?;
         Ok(sanitize_counts(g.value(art.pred).as_ref().clone()))
     }
 }
@@ -636,7 +604,8 @@ mod tests {
         let sample = data.sample(20).unwrap();
         let z = data.zscore(&sample.input);
         let perm: Vec<usize> = (0..16).rev().collect();
-        let art = model.forward(&g, &pv, &z, Some(&perm)).unwrap();
+        let art =
+            model.forward(&g, &pv, &z, Objective::Train { corrupt_perm: Some(&perm) }).unwrap();
         assert_eq!(g.shape_of(art.pred).unwrap(), vec![16, 4]);
         assert!(art.infomax_loss.is_some());
         assert!(art.contrastive_loss.is_some());
@@ -653,9 +622,9 @@ mod tests {
         let g = Graph::new();
         let pv = model.store.inject(&g);
         let bad = Tensor::zeros(&[16, 5, 4]); // wrong Tw
-        assert!(model.forward(&g, &pv, &bad, None).is_err());
+        assert!(model.forward(&g, &pv, &bad, Objective::Predict).is_err());
         let bad2 = Tensor::zeros(&[9, 7, 4]); // wrong R
-        assert!(model.forward(&g, &pv, &bad2, None).is_err());
+        assert!(model.forward(&g, &pv, &bad2, Objective::Predict).is_err());
     }
 
     #[test]
@@ -669,7 +638,8 @@ mod tests {
         let sample = data.sample(20).unwrap();
         let z = data.zscore(&sample.input);
         let perm: Vec<usize> = (0..16).collect();
-        let art = model.forward(&g, &pv, &z, Some(&perm)).unwrap();
+        let art =
+            model.forward(&g, &pv, &z, Objective::Train { corrupt_perm: Some(&perm) }).unwrap();
         assert!(art.infomax_loss.is_none());
         assert!(art.contrastive_loss.is_none());
         assert_eq!(g.shape_of(art.pred).unwrap(), vec![16, 4]);
@@ -684,7 +654,7 @@ mod tests {
         let pv = model.store.inject(&g);
         let sample = data.sample(20).unwrap();
         let z = data.zscore(&sample.input);
-        let art = model.forward(&g, &pv, &z, None).unwrap();
+        let art = model.forward(&g, &pv, &z, Objective::Predict).unwrap();
         assert_eq!(g.shape_of(art.pred).unwrap(), vec![16, 4]);
         assert!(art.contrastive_loss.is_none());
     }
@@ -706,6 +676,97 @@ mod tests {
             let v = g.value(loss).item().unwrap();
             assert!(v.is_finite(), "{name}: non-finite loss");
         }
+    }
+
+    /// A `[16, 80, 4]` count dataset where each cell is nonzero with
+    /// probability `density`. Deterministic in `(density, seed)`.
+    fn dataset_with_density(density: f64, seed: u64) -> CrimeDataset {
+        use rand::Rng;
+        let (regions, days, cats) = (16usize, 80usize, 4usize);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut counts = vec![0.0f32; regions * days * cats];
+        for v in &mut counts {
+            if rng.gen_range(0.0..1.0) < density {
+                *v = rng.gen_range(1..6) as f32;
+            }
+        }
+        let tensor = Tensor::from_vec(counts, &[regions, days, cats]).unwrap();
+        let names = (0..cats).map(|c| format!("cat{c}")).collect();
+        CrimeDataset::new(
+            tensor,
+            4,
+            4,
+            names,
+            DatasetConfig { window: 7, val_days: 5, train_fraction: 7.0 / 8.0 },
+        )
+        .unwrap()
+    }
+
+    /// One forward on a fresh inference graph: the graph and the bits of
+    /// its prediction.
+    fn predicted_bits(model: &StHsl, z: &Tensor, objective: Objective<'_>) -> (Graph, Vec<u32>) {
+        let g = Graph::new();
+        let pv = model.store.inject(&g);
+        let art = model.forward(&g, &pv, z, objective).unwrap();
+        if matches!(objective, Objective::Predict) {
+            assert!(art.infomax_loss.is_none() && art.contrastive_loss.is_none());
+        }
+        let bits = g.value(art.pred).data().iter().map(|x| x.to_bits()).collect();
+        (g, bits)
+    }
+
+    /// The inference forward records only the prediction's ancestors, so it
+    /// must predict exactly what the loss-building forward predicts — for
+    /// every ablation, on both propagation paths, at crime densities
+    /// {1%, 21%} and at 1 and 4 threads — and must not record the local
+    /// conv stack or the contrastive loss when the head reads only the
+    /// global view.
+    #[test]
+    fn inference_forward_matches_loss_forward_bitwise_and_skips_ssl_branches() {
+        let mut variants = vec![("full", Ablation::full())];
+        variants.extend(Ablation::named_variants());
+        for density in [0.01f64, 0.21] {
+            let data = dataset_with_density(density, 0x5eed ^ density.to_bits());
+            let day = data.target_days(Split::Train)[0];
+            let z = data.zscore(&data.sample(day).unwrap().input);
+            let perm: Vec<usize> = (0..data.num_regions()).rev().collect();
+            let train = Objective::Train { corrupt_perm: Some(&perm) };
+            for sparse in [true, false] {
+                for &(name, ab) in &variants {
+                    let mut cfg = tiny_cfg().with_ablation(ab);
+                    cfg.sparse_propagation = sparse;
+                    let model = StHsl::new(cfg, &data).unwrap();
+                    let mut reference: Option<Vec<u32>> = None;
+                    for threads in [1, 4] {
+                        sthsl_parallel::set_num_threads(threads);
+                        let label = format!("{name} / sparse={sparse} / {density} / {threads}t");
+                        let (g, served) = predicted_bits(&model, &z, Objective::Predict);
+                        let (_, trained) = predicted_bits(&model, &z, train);
+                        assert_eq!(served, trained, "{label}");
+                        let first = reference.get_or_insert_with(|| served.clone());
+                        assert_eq!(*first, served, "{label}: thread count moved bits");
+
+                        if ab.global_branch && !ab.fusion {
+                            let tape = g.export_tape();
+                            let count = |op: &str| {
+                                tape.nodes.iter().filter(|n| n.kind.name() == op).count()
+                            };
+                            assert_eq!(count("conv2d"), 0, "{label}");
+                            assert_eq!(count("info_nce_diag"), 0, "{label}");
+                            // The global temporal stack is conv1d too; only
+                            // the local view's temporal conv must be gone.
+                            let global = if ab.global_temporal {
+                                model.cfg.global_temporal_layers
+                            } else {
+                                0
+                            };
+                            assert_eq!(count("conv1d"), global, "{label}");
+                        }
+                    }
+                }
+            }
+        }
+        sthsl_parallel::set_num_threads(0);
     }
 
     #[test]
@@ -785,7 +846,7 @@ mod tests {
         // Wrong category count reaches the embedding guard even in release
         // builds (this used to be a debug_assert that compiled away).
         let bad = Tensor::zeros(&[16, 7, 5]);
-        let Err(err) = model.forward(&g, &pv, &bad, None) else {
+        let Err(err) = model.forward(&g, &pv, &bad, Objective::Predict) else {
             panic!("mis-shaped window accepted")
         };
         assert!(err.to_string().contains("16"), "untyped error: {err}");

@@ -60,7 +60,7 @@ impl TrainHooks for TraceHooks<'_> {
             global_step: ctx.global_step,
             loss: ctx.loss,
             grad_norm: ctx.grad_norm,
-            lr: f64::NAN, // per-batch LR is not on the seam; see the epoch event
+            lr: f64::from(ctx.lr),
         });
         match self.inner.as_mut() {
             Some(h) => h.on_batch_end(ctx),
@@ -202,6 +202,21 @@ mod tests {
             let g = grad_norm.expect("grad norm must be recorded at batch end");
             assert!(g.is_finite() && g > 0.0, "grad norm {g}");
         }
+        // Every batch carries the rate its step used: the configured rate
+        // until the divergence, half of it after the backoff.
+        let mut backed_off = false;
+        for e in &events {
+            match e {
+                TraceEvent::Divergence { .. } => backed_off = true,
+                TraceEvent::Batch { lr, .. } => {
+                    assert!(lr.is_finite(), "batch lr {lr}");
+                    let want = f64::from(if backed_off { cfg().lr * 0.5 } else { cfg().lr });
+                    assert_eq!(*lr, want, "backed_off={backed_off}");
+                }
+                _ => {}
+            }
+        }
+        assert!(backed_off);
         let TraceEvent::Epoch { val_loss, .. } = epochs[0] else { unreachable!() };
         assert!(val_loss.is_some(), "validate=true must produce val losses");
         let TraceEvent::Divergence { global_step, retries_used, lr_scale, .. } = divergences[0]

@@ -104,6 +104,9 @@ pub struct BatchCtx {
     /// has run (i.e. in [`TrainHooks::inject_fault`]), `Some` by the time
     /// [`TrainHooks::on_batch_end`] fires.
     pub grad_norm: Option<f64>,
+    /// Effective learning rate of this batch's step (schedule × backoff
+    /// scale).
+    pub lr: f32,
 }
 
 /// Context passed to [`TrainHooks::on_epoch_end`].
@@ -192,12 +195,6 @@ pub struct TrainOptions {
     pub max_divergence_retries: u32,
     /// Compute validation loss each epoch even without `patience`.
     pub validate: bool,
-    /// Extend the pre-flight with the certified tape optimizer: rewrite the
-    /// training tape under gradient-preserving rules and require a
-    /// bit-exact replay (every node value and parameter gradient
-    /// `to_bits`-identical) before the first optimizer step. Catches
-    /// optimizer/engine divergence the plain audit cannot see.
-    pub optimize_preflight: bool,
 }
 
 impl TrainOptions {
@@ -343,21 +340,6 @@ impl TrainLoop {
             )));
         }
 
-        // Optional extended pre-flight: run the certified tape optimizer on
-        // the training tape and replay it bit-exact. Any divergence between
-        // the static proofs and the runtime bits aborts before step one.
-        if self.opts.optimize_preflight {
-            let (opt, verdict) =
-                model.optimize_and_verify(data, sthsl_graphcheck::OptimizeGoal::ForwardBackward)?;
-            if !opt.warnings.is_empty() {
-                return Err(TensorError::Invalid(format!(
-                    "optimize pre-flight regressed the audit: {}",
-                    opt.warnings.join("; ")
-                )));
-            }
-            debug_assert!(verdict.nodes_compared > 0);
-        }
-
         let start = Instant::now();
         let mut interrupted = false;
         let mut early_stopped = false;
@@ -416,6 +398,7 @@ impl TrainLoop {
                         global_step: state.global_step,
                         loss: f64::from(lv),
                         grad_norm: None,
+                        lr: opt.lr,
                     };
                     if hooks.inject_fault(&ctx) == Some(Fault::NanLoss) {
                         lv = f32::NAN;

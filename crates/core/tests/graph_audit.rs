@@ -1,12 +1,13 @@
 //! Static graph audit over the real ST-HSL model: the full configuration and
 //! every named ablation variant must certify clean (shape inference agrees
 //! with runtime everywhere, every live parameter is grad-reachable, expected
-//! detachment is explained by the ablation allow-prefixes), and the rendered
+//! detachment is explained by the ablation allow-prefixes), the serving
+//! tape of every variant carries no grad-flow warning, and the rendered
 //! report for a fixed seed must be stable.
 
 use sthsl_core::{Ablation, StHsl, StHslConfig};
 use sthsl_data::{CrimeDataset, DatasetConfig, SynthCity, SynthConfig};
-use sthsl_graphcheck::Severity;
+use sthsl_graphcheck::{Pass, Severity};
 
 fn tiny_dataset() -> CrimeDataset {
     let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 80)).unwrap();
@@ -48,8 +49,10 @@ fn full_model_certifies_clean() {
 #[test]
 fn every_named_ablation_certifies_clean_on_dense_and_sparse_tapes() {
     let data = tiny_dataset();
+    let mut variants = vec![("full", Ablation::full())];
+    variants.extend(Ablation::named_variants());
     for sparse in [true, false] {
-        for (name, ab) in Ablation::named_variants() {
+        for &(name, ab) in &variants {
             let mut cfg = tiny_cfg().with_ablation(ab);
             cfg.sparse_propagation = sparse;
             let path = if sparse { "sparse" } else { "dense" };
@@ -94,6 +97,26 @@ fn every_named_ablation_certifies_clean_on_dense_and_sparse_tapes() {
             );
             let cost = report.cost.as_ref().expect("cost pass must run");
             assert_eq!(cost.unknown_nodes, 0, "{name}/{path}: cost model must cover the tape");
+
+            // The inference forward records only what the prediction reads,
+            // so the serving tape has no dead subgraph to warn about.
+            let serving = model.serving_audit(&data).unwrap();
+            assert!(
+                !serving.has_errors(),
+                "{name}/{path} serving tape must audit clean:\n{}",
+                serving.render()
+            );
+            let grad_flow_warnings = serving
+                .diagnostics
+                .iter()
+                .filter(|d| d.pass == Pass::GradFlow && d.severity == Severity::Warning)
+                .count();
+            assert_eq!(
+                grad_flow_warnings,
+                0,
+                "{name}/{path}: serving tape grad-flow warnings:\n{}",
+                serving.render()
+            );
         }
     }
 }

@@ -41,26 +41,16 @@ pub mod chain;
 pub mod cost;
 pub mod determinism;
 pub mod fperror;
-pub mod fusion;
 pub mod liveness;
-pub mod optimize;
 pub mod range;
 pub mod reach;
 pub mod report;
-pub mod rewrite;
 pub mod shape;
 pub mod taint;
 
 use sthsl_autograd::TapeSpec;
 
-pub use fusion::{FusionCandidate, FusionReport};
-pub use optimize::{
-    optimize, verify_bit_equivalence, OptimizeError, OptimizedTape, ReplayVerdict, RewriteOptions,
-};
 pub use report::{AuditReport, Diagnostic, MemoryReport, Pass, Severity, REPORT_VERSION};
-pub use rewrite::{
-    AppliedRewrite, DischargedObligation, OptimizeGoal, RewritePass, SkippedRewrite,
-};
 
 /// Default single-op f32 accumulation budget: twice the fixed reassociation
 /// block of the workspace's full reductions

@@ -5,7 +5,7 @@
 //! parameter names/shapes are cross-checked against the requested model
 //! config via [`StHsl::install_params`] *before* anything is mutated, and
 //! the serving tape then passes a full graphcheck pre-flight
-//! ([`StHsl::serving_artifacts`] → [`sthsl_graphcheck::audit`]). A
+//! ([`StHsl::serving_audit`]). A
 //! checkpoint trained under a different config is rejected with a typed
 //! [`StartupError`] at startup — never discovered by the first request.
 //!
@@ -23,7 +23,6 @@ use sthsl_autograd::load_latest_verified;
 use sthsl_chaos::{Io, RetryPolicy, Sleeper};
 use sthsl_core::{StHsl, StHslConfig};
 use sthsl_data::CrimeDataset;
-use sthsl_graphcheck::AuditOptions;
 use sthsl_tensor::Tensor;
 
 /// The serving engine: one city's model over one dataset.
@@ -291,16 +290,7 @@ impl ForecastEngine {
 /// to the inference graph. Parameters that only feed the self-supervised
 /// losses are expected-inactive, not errors.
 fn preflight(model: &StHsl, data: &CrimeDataset) -> Result<(), StartupError> {
-    let (g, root, params) =
-        model.serving_artifacts(data).map_err(|e| StartupError::Dataset(e.to_string()))?;
-    let spec = g.export_tape();
-    let indexed: Vec<(String, usize)> =
-        params.iter().map(|(n, v)| (n.clone(), v.index())).collect();
-    let opts = AuditOptions {
-        allow_unreachable: model.expected_serving_inactive_prefixes(),
-        ..AuditOptions::default()
-    };
-    let report = sthsl_graphcheck::audit("ST-HSL", &spec, root.index(), &indexed, &opts);
+    let report = model.serving_audit(data).map_err(|e| StartupError::Dataset(e.to_string()))?;
     if report.has_errors() {
         return Err(StartupError::AuditFailed(report.render()));
     }

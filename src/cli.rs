@@ -93,10 +93,6 @@ struct Flags {
     cost: bool,
     max_accum_depth: Option<u64>,
     json: bool,
-    apply: bool,
-    deny_warnings: bool,
-    optimize_preflight: bool,
-    fusion_out: Option<String>,
     addr: Option<String>,
     cache_capacity: usize,
     tile_regions: usize,
@@ -135,10 +131,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         cost: false,
         max_accum_depth: None,
         json: false,
-        apply: false,
-        deny_warnings: false,
-        optimize_preflight: false,
-        fusion_out: None,
         addr: None,
         cache_capacity: 1024,
         tile_regions: 4,
@@ -252,22 +244,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--json" => {
                 f.json = true;
                 i += 1;
-            }
-            "--apply" => {
-                f.apply = true;
-                i += 1;
-            }
-            "--deny-warnings" => {
-                f.deny_warnings = true;
-                i += 1;
-            }
-            "--optimize-preflight" => {
-                f.optimize_preflight = true;
-                i += 1;
-            }
-            "--fusion-out" => {
-                f.fusion_out = Some(value(i)?.clone());
-                i += 2;
             }
             "--addr" => {
                 f.addr = Some(value(i)?.clone());
@@ -424,7 +400,6 @@ fn cmd_train(flags: &Flags) -> Result<String, CliError> {
     opts.checkpoint_dir = flags.checkpoint_dir.clone().map(PathBuf::from);
     opts.checkpoint_every = flags.checkpoint_every;
     opts.patience = flags.patience;
-    opts.optimize_preflight = flags.optimize_preflight;
     if flags.resume {
         let dir = opts
             .checkpoint_dir
@@ -653,71 +628,6 @@ fn render_cost_detail(r: &sthsl_graphcheck::AuditReport) -> String {
     out
 }
 
-/// `optimize`: run the audit-certified rewrite engine (CSE, dead-node
-/// elimination, constant folding, identity simplification) over both tape
-/// profiles — the serving tape under the aggressive forward-only rules and
-/// the training tape under the conservative gradient-preserving rules —
-/// printing before/after cost tables and the full rewrite ledger with each
-/// rewrite's discharged proof obligations. `--apply` additionally replays
-/// the optimized tapes and demands every surviving node value (and, for the
-/// training goal, every parameter gradient) be bit-identical to the
-/// recording graph. Also writes the advisory fusion-candidate report to
-/// `results/fusion_candidates.json` (override with `--fusion-out`).
-fn cmd_optimize(flags: &Flags) -> Result<String, CliError> {
-    let data = dataset_or_synth(flags)?;
-    let model = StHsl::new(model_config(flags), &data).map_err(|e| e.to_string())?;
-
-    let mut out = String::new();
-    let mut warnings: Vec<String> = Vec::new();
-    for goal in [OptimizeGoal::Forward, OptimizeGoal::ForwardBackward] {
-        let opt = if flags.apply {
-            let (opt, verdict) =
-                model.optimize_and_verify(&data, goal).map_err(|e| e.to_string())?;
-            let _ = write!(out, "{}", opt.render(true));
-            let _ = write!(out, "replay: {} node value(s) bit-identical", verdict.nodes_compared);
-            if verdict.grads_compared > 0 {
-                let _ =
-                    write!(out, ", {} parameter gradient(s) bit-identical", verdict.grads_compared);
-            }
-            let _ = writeln!(out);
-            opt
-        } else {
-            let (_, _, opt) = model.optimize_tape(&data, goal).map_err(|e| e.to_string())?;
-            let _ = write!(out, "{}", opt.render(true));
-            opt
-        };
-        warnings.extend(opt.warnings.iter().cloned());
-        let _ = writeln!(out);
-    }
-
-    let fusion = model.fusion_report(&data).map_err(|e| e.to_string())?;
-    let _ = write!(out, "{}", fusion.render(flags.top));
-    let fusion_path =
-        flags.fusion_out.clone().unwrap_or_else(|| "results/fusion_candidates.json".into());
-    if let Some(dir) = std::path::Path::new(&fusion_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        }
-    }
-    fs::write(&fusion_path, fusion.to_json()).map_err(|e| format!("{fusion_path}: {e}"))?;
-    let _ = write!(out, "fusion candidates written to {fusion_path}");
-
-    if let Some(path) = &flags.out {
-        fs::write(path, &out).map_err(|e| e.to_string())?;
-        out = format!("optimize report written to {path}");
-    }
-    if !warnings.is_empty() {
-        let _ = write!(out, "\noptimize finished with {} warning(s):", warnings.len());
-        for w in &warnings {
-            let _ = write!(out, "\n  {w}");
-        }
-        if flags.deny_warnings {
-            return Err(format!("{out}\n--deny-warnings: failing").into());
-        }
-    }
-    Ok(out)
-}
-
 /// `profile`: run one training-mode forward + backward pass with the tape
 /// profiler attached and print the top-K hot-op report. `--fake-clock`
 /// substitutes a deterministic clock (every op "takes" 100 ns) so the output
@@ -843,7 +753,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
 }
 
 const USAGE: &str =
-    "usage: sthsl <simulate|train|evaluate|predict|serve|graph-audit|optimize|profile|chaos> [flags]
+    "usage: sthsl <simulate|train|evaluate|predict|serve|graph-audit|profile|chaos> [flags]
   common flags:
     --city nyc|chi   synthetic city preset (default nyc)
     --rows N --cols N --days N --window N --seed N
@@ -860,9 +770,6 @@ const USAGE: &str =
             --dense-hypergraph     use the dense batched hypergraph propagation
                                    instead of the CSR path (bit-identical; for
                                    A/B timing and debugging)
-            --optimize-preflight   run the audit-certified tape optimizer with
-                                   replay verification before training; abort
-                                   if any rewrite would regress the audit
             (--trace-out traces every batch/epoch/divergence/checkpoint)
   evaluate: --data crimes.csv --model model.bin
   predict:  --data crimes.csv --model model.bin [--out forecast.csv]
@@ -889,20 +796,6 @@ const USAGE: &str =
             [--dense-hypergraph]   audit the dense propagation tape instead of CSR
             [--json]               emit one machine-readable JSON document
                                    instead of the text report
-  optimize: rewrite the serving + training tapes (CSE, dead-node elimination,
-            constant folding, identity simplification); every rewrite is
-            certified by the static audit and listed with its discharged
-            proof obligations, alongside before/after cost tables
-            [--data crimes.csv]    optimize against a real dataset (default: synthetic)
-            [--apply]              replay both optimized tapes and require
-                                   bit-identical values (and gradients on the
-                                   training tape)
-            [--deny-warnings]      nonzero exit if any rewrite regressed an
-                                   audit pass
-            [--out report.txt]     write the full report to a file
-            [--fusion-out PATH]    fusion-candidate JSON destination
-                                   (default results/fusion_candidates.json)
-            [--top N]              rows in the fusion table (default 10)
   profile:  time one training step per-op and print the hot-op report
             [--data crimes.csv]    profile a real dataset (default: synthetic)
             [--top N]              rows in the report (default 10)
@@ -947,7 +840,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         "predict" => cmd_predict(&flags)?,
         "serve" => cmd_serve(&flags)?,
         "graph-audit" | "--graph-audit" => cmd_graph_audit(&flags)?,
-        "optimize" => cmd_optimize(&flags)?,
         "profile" => cmd_profile(&flags)?,
         "chaos" => cmd_chaos(&flags)?,
         other => return Err(CliError::usage(format!("unknown command {other}\n{USAGE}"))),
@@ -1106,9 +998,11 @@ mod tests {
         let err = run(&str_args(&["sthsl"])).unwrap_err();
         assert!(err.to_string().contains("usage"));
         assert_eq!(err.exit_code(), 2);
-        let err2 = run(&str_args(&["sthsl", "frobnicate"])).unwrap_err();
-        assert!(err2.to_string().contains("unknown command"));
-        assert_eq!(err2.exit_code(), 2);
+        for cmd in ["frobnicate", "optimize"] {
+            let err2 = run(&str_args(&["sthsl", cmd])).unwrap_err();
+            assert!(err2.to_string().contains("unknown command"), "{cmd}: {err2}");
+            assert_eq!(err2.exit_code(), 2, "{cmd}");
+        }
     }
 
     #[test]
@@ -1131,6 +1025,13 @@ mod tests {
         let err = run(&str_args(&["sthsl", "simulate", "--city", "atlantis"])).unwrap_err();
         assert!(err.to_string().contains("unknown --city"), "{err}");
         assert_eq!(err.exit_code(), 2);
+
+        // Unknown flags are usage errors too.
+        for flag in ["--optimize-preflight", "--fusion-out", "--apply", "--deny-warnings"] {
+            let err = run(&str_args(&["sthsl", "train", flag])).unwrap_err();
+            assert!(err.to_string().contains(&format!("unknown flag '{flag}'")), "{err}");
+            assert_eq!(err.exit_code(), 2);
+        }
     }
 
     #[test]
@@ -1239,53 +1140,6 @@ mod tests {
         }
         // Byte-determinism: CI diffs these structurally and textually.
         assert_eq!(doc, cmd_graph_audit(&flags).unwrap());
-    }
-
-    #[test]
-    fn optimize_applies_verifies_and_writes_fusion_json() {
-        let fusion = tmp("fusion.json");
-        let flags = parse_flags(&str_args(&[
-            "--rows",
-            "4",
-            "--cols",
-            "4",
-            "--days",
-            "60",
-            "--window",
-            "7",
-            "--apply",
-            "--deny-warnings",
-            "--fusion-out",
-            &fusion,
-        ]))
-        .unwrap();
-        assert!(flags.apply && flags.deny_warnings);
-        let out = cmd_optimize(&flags).unwrap();
-        // Both profiles report, every applied rewrite carries discharged
-        // proofs, and the replay harness certifies bit-identity.
-        assert!(out.contains("tape optimizer: ST-HSL (goal: forward)"), "{out}");
-        assert!(out.contains("tape optimizer: ST-HSL (goal: forward+backward)"), "{out}");
-        assert!(out.contains("proof op-equality:"), "{out}");
-        assert!(out.contains("proof grad-order:"), "{out}");
-        assert!(out.contains("parameter gradient(s) bit-identical"), "{out}");
-        // The serving tape must clear the >=5% static-cost bar by a wide
-        // margin (the self-supervised branches are dead at inference).
-        let saved = out
-            .lines()
-            .find(|l| l.contains("static bytes:"))
-            .and_then(|l| l.split("saved ").nth(1))
-            .and_then(|s| s.trim_end_matches("%)").parse::<f64>().ok())
-            .unwrap();
-        assert!(saved >= 5.0, "serving tape saved only {saved}%: {out}");
-
-        let text = fs::read_to_string(&fusion).unwrap();
-        let json = crate::obs::parse_json(&text).unwrap();
-        assert!(json.get("total_saved_bytes").and_then(crate::obs::Json::as_u64).unwrap() > 0);
-        let Some(crate::obs::Json::Arr(cands)) = json.get("candidates") else {
-            panic!("candidates must be an array: {text}");
-        };
-        assert!(!cands.is_empty(), "{text}");
-        fs::remove_file(fusion).ok();
     }
 
     #[test]

@@ -61,10 +61,7 @@ pub mod prelude {
         CrimeDataset, DatasetConfig, EvalReport, FitReport, Predictor, Split, SynthCity,
         SynthConfig,
     };
-    pub use sthsl_graphcheck::{
-        AuditOptions, AuditReport, FusionReport, OptimizeGoal, OptimizedTape, ReplayVerdict,
-        RewriteOptions,
-    };
+    pub use sthsl_graphcheck::{AuditOptions, AuditReport};
     pub use sthsl_obs::{
         Clock, FakeClock, ProfileReport, TapeProfiler, TraceEmitter, TraceEvent, WallClock,
     };
