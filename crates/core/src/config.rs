@@ -161,7 +161,9 @@ pub struct StHslConfig {
     pub time_dependent_hypergraph: bool,
     /// Route region↔hyperedge propagation through the CSR `sparse_matmul`
     /// path (forward bit-identical to dense; touches only stored incidence
-    /// entries). `false` falls back to dense batched matmuls.
+    /// entries). Off by default: the learned incidence is dense, so the
+    /// batched dense matmuls are faster and record a much smaller tape
+    /// (DESIGN.md §6g).
     pub sparse_propagation: bool,
     /// RNG seed for parameter init and dropout.
     pub seed: u64,
@@ -195,7 +197,7 @@ impl StHslConfig {
             batch_size: 8,
             max_batches_per_epoch: None,
             time_dependent_hypergraph: true,
-            sparse_propagation: true,
+            sparse_propagation: false,
             seed: 7,
             ablation: Ablation::full(),
         }

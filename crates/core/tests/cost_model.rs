@@ -102,9 +102,11 @@ fn static_bytes_ranking_matches_profiler_exactly() {
     assert_eq!(static_ranked, measured_ranked);
 
     // Golden pin: the measured/static top-3 hot families by output bytes
-    // for the fixed tiny configuration.
+    // for the fixed tiny configuration. Re-pinned when dense propagation
+    // became the default: the per-window CSR slices and reshapes are gone,
+    // so `reshape` shrinks and the batched path's `permute`s rank second.
     let top3: Vec<&str> = static_ranked.iter().take(3).map(|(n, _)| n.as_str()).collect();
-    assert_eq!(top3, ["reshape", "leaky_relu", "add"]);
+    assert_eq!(top3, ["reshape", "permute", "leaky_relu"]);
 
     // Golden pin: perfect rank correlation, in integer per-mille.
     let a: Vec<String> = static_ranked.iter().map(|(n, _)| n.clone()).collect();

@@ -5,6 +5,7 @@
 //! them as node gradients without re-deriving index arithmetic.
 
 use crate::{Result, Tensor, TensorError};
+use std::ops::Range;
 
 /// Minimum multiply-accumulate count a band must carry before it is worth a
 /// thread (shared by every conv kernel below).
@@ -72,11 +73,14 @@ impl Tensor {
         let wt = weight.data();
         let bias_data = bias.map(super::super::tensor::Tensor::data);
         let mut out = vec![0.0f32; b * cout * oh * ow];
-        // One output plane per (batch, out-channel) pair; planes are disjoint
-        // and each element keeps the serial accumulation order, so the result
-        // is bit-identical at every thread count.
+        // One output plane per (batch, out-channel) pair; planes are disjoint.
+        // Every element starts at its bias and then adds its valid taps in
+        // ci → ky → kx order, whatever the thread count. The tap loops sit
+        // outside the spatial loops so the innermost loop is a contiguous
+        // output-row run with the padding already clipped out of its range.
         let per_plane = oh * ow * cin * kh * kw;
         let min_planes = (MIN_WORK_PER_BAND / per_plane.max(1)).max(1);
+        let (hw, khw) = (h * w, kh * kw);
         sthsl_parallel::parallel_rows_mut(
             &mut out,
             b * cout,
@@ -85,31 +89,22 @@ impl Tensor {
             |planes, band| {
                 for (local, plane) in planes.enumerate() {
                     let (bi, co) = (plane / cout, plane % cout);
-                    let bias_v = bias_data.map_or(0.0, |bd| bd[co]);
                     let oplane = &mut band[local * oh * ow..(local + 1) * oh * ow];
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = bias_v;
-                            for ci in 0..cin {
-                                let xbase = ((bi * cin + ci) * h) * w;
-                                let wbase = ((co * cin + ci) * kh) * kw;
-                                for ky in 0..kh {
-                                    let iy = oy + ky;
-                                    if iy < ph || iy >= h + ph {
-                                        continue;
-                                    }
-                                    let iy = iy - ph;
-                                    for kx in 0..kw {
-                                        let ix = ox + kx;
-                                        if ix < pw || ix >= w + pw {
-                                            continue;
-                                        }
-                                        let ix = ix - pw;
-                                        acc += x[xbase + iy * w + ix] * wt[wbase + ky * kw + kx];
+                    oplane.fill(bias_data.map_or(0.0, |bd| bd[co]));
+                    for ci in 0..cin {
+                        let xplane = &x[(bi * cin + ci) * hw..][..hw];
+                        let wk = &wt[(co * cin + ci) * khw..][..khw];
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let wv = wk[ky * kw + kx];
+                                for (o, i, n) in tap_runs((oh, ow), (h, w), pad, (ky, kx)) {
+                                    for (acc, &xv) in
+                                        oplane[o..o + n].iter_mut().zip(&xplane[i..i + n])
+                                    {
+                                        *acc += xv * wv;
                                     }
                                 }
                             }
-                            oplane[oy * ow + ox] = acc;
                         }
                     }
                 }
@@ -135,41 +130,33 @@ impl Tensor {
                 rhs: weight.shape().to_vec(),
             });
         }
-        let (ph, pw) = pad;
         let (h, w) = (input_shape[2], input_shape[3]);
         let go = grad_out.data();
         let wt = weight.data();
         let mut gx = vec![0.0f32; b * cin * h * w];
-        // Each batch element's input-gradient block is disjoint; the serial
-        // co → oy → ox accumulation order is preserved within each block.
+        // Each batch element's input-gradient block is disjoint. Every input
+        // element receives its contributions in co → oy → ox order, which
+        // for one element is co, then ky descending, then kx descending —
+        // the loop order below — and a zero gradient contributes nothing.
         let per_batch = cout * oh * ow * cin * kh * kw;
         let min_rows = (MIN_WORK_PER_BAND / per_batch.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut gx, b, cin * h * w, min_rows, |batches, band| {
+        let (hw, khw) = (h * w, kh * kw);
+        sthsl_parallel::parallel_rows_mut(&mut gx, b, cin * hw, min_rows, |batches, band| {
             for (local, bi) in batches.enumerate() {
-                let gblock = &mut band[local * cin * h * w..(local + 1) * cin * h * w];
+                let gblock = &mut band[local * cin * hw..(local + 1) * cin * hw];
                 for co in 0..cout {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let g = go[((bi * cout + co) * oh + oy) * ow + ox];
-                            if g == 0.0 {
-                                continue;
-                            }
-                            for ci in 0..cin {
-                                let xbase = (ci * h) * w;
-                                let wbase = ((co * cin + ci) * kh) * kw;
-                                for ky in 0..kh {
-                                    let iy = oy + ky;
-                                    if iy < ph || iy >= h + ph {
-                                        continue;
-                                    }
-                                    let iy = iy - ph;
-                                    for kx in 0..kw {
-                                        let ix = ox + kx;
-                                        if ix < pw || ix >= w + pw {
-                                            continue;
-                                        }
-                                        let ix = ix - pw;
-                                        gblock[xbase + iy * w + ix] += g * wt[wbase + ky * kw + kx];
+                    let gplane = &go[(bi * cout + co) * oh * ow..][..oh * ow];
+                    for ci in 0..cin {
+                        let xplane = &mut gblock[ci * hw..(ci + 1) * hw];
+                        let wk = &wt[(co * cin + ci) * khw..][..khw];
+                        for ky in (0..kh).rev() {
+                            for kx in (0..kw).rev() {
+                                let wv = wk[ky * kw + kx];
+                                for (o, i, n) in tap_runs((oh, ow), (h, w), pad, (ky, kx)) {
+                                    for (acc, &g) in
+                                        xplane[i..i + n].iter_mut().zip(&gplane[o..o + n])
+                                    {
+                                        *acc = if g == 0.0 { *acc } else { *acc + g * wv };
                                     }
                                 }
                             }
@@ -198,43 +185,35 @@ impl Tensor {
             });
         }
         let (kh, kw) = (weight_shape[2], weight_shape[3]);
-        let (ph, pw) = pad;
         let go = grad_out.data();
         let x = input.data();
-        let mut gw = vec![0.0f32; cout * cin * kh * kw];
-        // Each out-channel's weight-gradient block is disjoint. Hoisting the
-        // co loop outermost keeps the bi → oy → ox accumulation order of the
-        // serial kernel for every weight element.
-        let per_cout = b * oh * ow * cin * kh * kw;
+        let (hw, khw) = (h * w, kh * kw);
+        let kdim = cin * khw;
+        let mut gw = vec![0.0f32; cout * kdim];
+        // Each out-channel's weight-gradient block is disjoint. Every weight
+        // element is one sequential sum over bi → oy → ox, kept in a register
+        // and run over its tap's contiguous rows of `grad_out` and the input;
+        // zero gradients are skipped by a select.
+        let per_cout = b * oh * ow * kdim;
         let min_rows = (MIN_WORK_PER_BAND / per_cout.max(1)).max(1);
-        sthsl_parallel::parallel_rows_mut(&mut gw, cout, cin * kh * kw, min_rows, |couts, band| {
+        sthsl_parallel::parallel_rows_mut(&mut gw, cout, kdim, min_rows, |couts, band| {
             for (local, co) in couts.enumerate() {
-                let gblock = &mut band[local * cin * kh * kw..(local + 1) * cin * kh * kw];
+                let gblock = &mut band[local * kdim..(local + 1) * kdim];
                 for bi in 0..b {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let g = go[((bi * cout + co) * oh + oy) * ow + ox];
-                            if g == 0.0 {
-                                continue;
-                            }
-                            for ci in 0..cin {
-                                let xbase = ((bi * cin + ci) * h) * w;
-                                let wbase = (ci * kh) * kw;
-                                for ky in 0..kh {
-                                    let iy = oy + ky;
-                                    if iy < ph || iy >= h + ph {
-                                        continue;
-                                    }
-                                    let iy = iy - ph;
-                                    for kx in 0..kw {
-                                        let ix = ox + kx;
-                                        if ix < pw || ix >= w + pw {
-                                            continue;
-                                        }
-                                        let ix = ix - pw;
-                                        gblock[wbase + ky * kw + kx] += g * x[xbase + iy * w + ix];
+                    let gplane = &go[(bi * cout + co) * oh * ow..][..oh * ow];
+                    for ci in 0..cin {
+                        let xplane = &x[(bi * cin + ci) * hw..][..hw];
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let acc = &mut gblock[(ci * kh + ky) * kw + kx];
+                                let mut sum = *acc;
+                                for (o, i, n) in tap_runs((oh, ow), (h, w), pad, (ky, kx)) {
+                                    for (&g, &xv) in gplane[o..o + n].iter().zip(&xplane[i..i + n])
+                                    {
+                                        sum = if g == 0.0 { sum } else { sum + g * xv };
                                     }
                                 }
+                                *acc = sum;
                             }
                         }
                     }
@@ -302,25 +281,23 @@ impl Tensor {
         let mut out = vec![0.0f32; b * cout * ol];
         let per_plane = ol * cin * k;
         let min_planes = (MIN_WORK_PER_BAND / per_plane.max(1)).max(1);
+        // Same contract as `conv2d`: every element starts at its bias and adds
+        // its valid taps in ci → kk order, one contiguous output run per tap.
+        let pads = (0, pad.left);
         sthsl_parallel::parallel_rows_mut(&mut out, b * cout, ol, min_planes, |planes, band| {
             for (local, plane) in planes.enumerate() {
                 let (bi, co) = (plane / cout, plane % cout);
-                let bias_v = bias_data.map_or(0.0, |bd| bd[co]);
                 let oplane = &mut band[local * ol..(local + 1) * ol];
-                for (o, slot) in oplane.iter_mut().enumerate() {
-                    let mut acc = bias_v;
-                    for ci in 0..cin {
-                        let xbase = (bi * cin + ci) * l;
-                        let wbase = (co * cin + ci) * k;
-                        for kk in 0..k {
-                            let ip = o + kk * dilation;
-                            if ip < pad.left || ip >= l + pad.left {
-                                continue;
+                oplane.fill(bias_data.map_or(0.0, |bd| bd[co]));
+                for ci in 0..cin {
+                    let xrow = &x[(bi * cin + ci) * l..][..l];
+                    for (kk, &wv) in wt[(co * cin + ci) * k..][..k].iter().enumerate() {
+                        for (o, i, n) in tap_runs((1, ol), (1, l), pads, (0, kk * dilation)) {
+                            for (acc, &xv) in oplane[o..o + n].iter_mut().zip(&xrow[i..i + n]) {
+                                *acc += xv * wv;
                             }
-                            acc += x[xbase + ip - pad.left] * wt[wbase + kk];
                         }
                     }
-                    *slot = acc;
                 }
             }
         });
@@ -343,23 +320,23 @@ impl Tensor {
         let mut gx = vec![0.0f32; b * cin * l];
         let per_batch = cout * ol * cin * k;
         let min_rows = (MIN_WORK_PER_BAND / per_batch.max(1)).max(1);
+        // Same contract as `conv2d_grad_input`: per input element, co, then
+        // o ascending (kk descending); a zero gradient contributes nothing.
+        let pads = (0, pad.left);
         sthsl_parallel::parallel_rows_mut(&mut gx, b, cin * l, min_rows, |batches, band| {
             for (local, bi) in batches.enumerate() {
                 let gblock = &mut band[local * cin * l..(local + 1) * cin * l];
                 for co in 0..cout {
-                    for o in 0..ol {
-                        let g = go[(bi * cout + co) * ol + o];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..cin {
-                            let wbase = (co * cin + ci) * k;
-                            for kk in 0..k {
-                                let ip = o + kk * dilation;
-                                if ip < pad.left || ip >= l + pad.left {
-                                    continue;
+                    let grow = &go[(bi * cout + co) * ol..][..ol];
+                    for ci in 0..cin {
+                        let xrow = &mut gblock[ci * l..(ci + 1) * l];
+                        let wk = &wt[(co * cin + ci) * k..][..k];
+                        for kk in (0..k).rev() {
+                            let wv = wk[kk];
+                            for (o, i, n) in tap_runs((1, ol), (1, l), pads, (0, kk * dilation)) {
+                                for (acc, &g) in xrow[i..i + n].iter_mut().zip(&grow[o..o + n]) {
+                                    *acc = if g == 0.0 { *acc } else { *acc + g * wv };
                                 }
-                                gblock[ci * l + ip - pad.left] += g * wt[wbase + kk];
                             }
                         }
                     }
@@ -385,24 +362,24 @@ impl Tensor {
         let mut gw = vec![0.0f32; cout * cin * k];
         let per_cout = b * ol * cin * k;
         let min_rows = (MIN_WORK_PER_BAND / per_cout.max(1)).max(1);
+        // Same contract and loop scheme as `conv2d_grad_weight`: one
+        // sequential bi → o sum per weight element.
+        let pads = (0, pad.left);
         sthsl_parallel::parallel_rows_mut(&mut gw, cout, cin * k, min_rows, |couts, band| {
             for (local, co) in couts.enumerate() {
                 let gblock = &mut band[local * cin * k..(local + 1) * cin * k];
                 for bi in 0..b {
-                    for o in 0..ol {
-                        let g = go[(bi * cout + co) * ol + o];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..cin {
-                            let xbase = (bi * cin + ci) * l;
-                            for kk in 0..k {
-                                let ip = o + kk * dilation;
-                                if ip < pad.left || ip >= l + pad.left {
-                                    continue;
+                    let grow = &go[(bi * cout + co) * ol..][..ol];
+                    for ci in 0..cin {
+                        let xrow = &x[(bi * cin + ci) * l..][..l];
+                        for (kk, acc) in gblock[ci * k..(ci + 1) * k].iter_mut().enumerate() {
+                            let mut sum = *acc;
+                            for (o, i, n) in tap_runs((1, ol), (1, l), pads, (0, kk * dilation)) {
+                                for (&g, &xv) in grow[o..o + n].iter().zip(&xrow[i..i + n]) {
+                                    sum = if g == 0.0 { sum } else { sum + g * xv };
                                 }
-                                gblock[ci * k + kk] += g * x[xbase + ip - pad.left];
                             }
+                            *acc = sum;
                         }
                     }
                 }
@@ -424,6 +401,31 @@ impl Tensor {
         }
         Tensor::from_vec(gb, &[cout])
     }
+}
+
+/// The output positions `o` in `0..out` whose tap at offset `off` reads
+/// inside an input of length `len` with `pad` zeros on its left, i.e.
+/// `o + off - pad` in `0..len`.
+fn valid_range(out: usize, len: usize, pad: usize, off: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(off);
+    lo..out.min((len + pad).saturating_sub(off)).max(lo)
+}
+
+/// The contiguous runs one 2-D tap `(ky, kx)` makes between an `[oh, ow]`
+/// output plane and an `[h, w]` input plane padded by `(ph, pw)`: one
+/// `(out_start, in_start, len)` per output row the tap reads inside the
+/// input, with the padded columns clipped off. Output element
+/// `out_start + j` reads input element `in_start + j`. A 1-D tap is the
+/// one-row case: `tap_runs((1, ol), (1, l), (0, left), (0, kk · dilation))`.
+fn tap_runs(
+    (oh, ow): (usize, usize),
+    (h, w): (usize, usize),
+    (ph, pw): (usize, usize),
+    (ky, kx): (usize, usize),
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let oxs = valid_range(ow, w, pw, kx);
+    let oys = if oxs.is_empty() { 0..0 } else { valid_range(oh, h, ph, ky) };
+    oys.map(move |oy| (oy * ow + oxs.start, (oy + ky - ph) * w + oxs.start + kx - pw, oxs.len()))
 }
 
 fn dims4(t: &Tensor, op: &'static str) -> Result<[usize; 4]> {

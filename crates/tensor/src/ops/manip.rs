@@ -26,20 +26,33 @@ impl Tensor {
         let in_strides = strides_of(in_shape);
         // Stride of output axis d in the *input* buffer.
         let gather_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-        let mut out = vec![0.0f32; self.len()];
         let x = self.data();
-        let mut idx = vec![0usize; ndim];
-        for slot in &mut out {
-            let mut off = 0usize;
-            for d in 0..ndim {
-                off += idx[d] * gather_strides[d];
+        // One output row (the innermost output axis) at a time: the odometer
+        // over the outer axes advances once per row, and the row is gathered
+        // at its input stride, or copied outright when that stride is 1.
+        let (row_len, row_stride) = match (out_shape.last(), gather_strides.last()) {
+            (Some(&len), Some(&stride)) if len > 0 => (len, stride),
+            _ => return Tensor::from_vec(x.to_vec(), &out_shape),
+        };
+        let mut out = vec![0.0f32; self.len()];
+        let outer = ndim - 1;
+        let mut idx = vec![0usize; outer];
+        let mut base = 0usize;
+        for row in out.chunks_exact_mut(row_len) {
+            if row_stride == 1 {
+                row.copy_from_slice(&x[base..base + row_len]);
+            } else {
+                for (slot, &v) in row.iter_mut().zip(x[base..].iter().step_by(row_stride)) {
+                    *slot = v;
+                }
             }
-            *slot = x[off];
-            for d in (0..ndim).rev() {
+            for d in (0..outer).rev() {
                 idx[d] += 1;
+                base += gather_strides[d];
                 if idx[d] < out_shape[d] {
                     break;
                 }
+                base -= idx[d] * gather_strides[d];
                 idx[d] = 0;
             }
         }

@@ -96,15 +96,22 @@ fn batched_matmul_and_matvec_bit_identical() {
 #[test]
 fn conv2d_forward_and_grads_bit_identical() {
     let mut rng = StdRng::seed_from_u64(13);
-    for _ in 0..6 {
-        let (b, cin, cout) =
-            (rng.gen_range(1usize..4), rng.gen_range(1usize..4), rng.gen_range(1usize..5));
-        let (h, w, kh, kw) = (
-            rng.gen_range(4usize..10),
-            rng.gen_range(4usize..10),
-            rng.gen_range(1usize..4),
-            rng.gen_range(1usize..4),
-        );
+    for case in 0..7 {
+        // The last case is the local spatial conv of one quick-scale ST-HSL
+        // training sample.
+        let [b, cin, cout, h, w, kh, kw] = if case < 6 {
+            [
+                rng.gen_range(1usize..4),
+                rng.gen_range(1usize..4),
+                rng.gen_range(1usize..5),
+                rng.gen_range(4usize..10),
+                rng.gen_range(4usize..10),
+                rng.gen_range(1usize..4),
+                rng.gen_range(1usize..4),
+            ]
+        } else {
+            [224, 4, 4, 8, 8, 3, 3]
+        };
         let x = Tensor::rand_normal(&[b, cin, h, w], 0.0, 1.0, &mut rng);
         let wt = Tensor::rand_normal(&[cout, cin, kh, kw], 0.0, 0.5, &mut rng);
         let bias = Tensor::rand_normal(&[cout], 0.0, 0.5, &mut rng);
@@ -127,18 +134,26 @@ fn conv2d_forward_and_grads_bit_identical() {
 #[test]
 fn conv1d_forward_and_grads_bit_identical() {
     let mut rng = StdRng::seed_from_u64(14);
-    for _ in 0..6 {
-        let (b, cin, cout, l, k) = (
-            rng.gen_range(1usize..4),
-            rng.gen_range(1usize..4),
-            rng.gen_range(1usize..5),
-            rng.gen_range(6usize..24),
-            rng.gen_range(1usize..4),
-        );
-        let dilation = rng.gen_range(1usize..3);
+    for case in 0..8 {
+        // The last two cases are the local and global temporal convs of one
+        // quick-scale ST-HSL training sample.
+        let ([b, cin, cout, l, k, dilation], pad) = match case {
+            6 => ([1024, 4, 4, 14, 3, 1], Pad1d::same(3)),
+            7 => ([4096, 1, 1, 14, 3, 1], Pad1d::same(3)),
+            _ => {
+                let dims = [
+                    rng.gen_range(1usize..4),
+                    rng.gen_range(1usize..4),
+                    rng.gen_range(1usize..5),
+                    rng.gen_range(6usize..24),
+                    rng.gen_range(1usize..4),
+                    rng.gen_range(1usize..3),
+                ];
+                (dims, Pad1d::causal(dims[4], dims[5]))
+            }
+        };
         let x = Tensor::rand_normal(&[b, cin, l], 0.0, 1.0, &mut rng);
         let wt = Tensor::rand_normal(&[cout, cin, k], 0.0, 0.5, &mut rng);
-        let pad = Pad1d::causal(k, dilation);
         let label = format!("conv1d b{b} {cin}->{cout} l{l} k{k} d{dilation}");
         let y = x.conv1d(&wt, None, pad, dilation).unwrap();
         assert_bitwise_across_thread_counts(&label, || {
