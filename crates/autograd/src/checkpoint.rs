@@ -452,12 +452,6 @@ pub fn prune_checkpoints_io(io: &dyn Io, dir: &Path, keep: usize) -> io::Result<
     Ok(report)
 }
 
-/// [`prune_checkpoints_io`] against the real filesystem, discarding the
-/// report. Kept for existing call sites.
-pub fn prune_checkpoints(dir: impl AsRef<Path>, keep: usize) -> io::Result<()> {
-    prune_checkpoints_io(&RealIo, dir.as_ref(), keep).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,7 +573,7 @@ mod tests {
         let latest = latest_checkpoint(&dir).unwrap().unwrap();
         assert_eq!(latest.file_name().unwrap().to_str().unwrap(), checkpoint_file_name(25));
 
-        prune_checkpoints(&dir, 2).unwrap();
+        prune_checkpoints_io(&RealIo, &dir, 2).unwrap();
         let mut left: Vec<String> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok().and_then(|e| e.file_name().into_string().ok()))

@@ -1,9 +1,9 @@
 //! Dense vs sparse (CSR) speedup bench at paper scale.
 //!
 //! Crime tensors are overwhelmingly zero (Fig. 1 of the paper: most regions
-//! report no cases of a given category on a given day), so the CSR compute
-//! path added for the loss/metric plumbing pays exactly where the paper's
-//! data lives. This bench measures that win at `--paper-scale`:
+//! report no cases of a given category on a given day), so a product through
+//! a CSR operand touches only the stored counts. This bench measures that win
+//! at `--paper-scale`:
 //!
 //! - **spmm_crime_paper**: the NYC-like 256-region × 730-day × 4-category
 //!   tensor, flattened to `[256, 2920]`, multiplied into a dense `[2920, 16]`
@@ -11,8 +11,6 @@
 //!   to, at the tensor's *real* simulated density.
 //! - **spmm_density_sweep**: the same shape at controlled densities
 //!   {0.01, 0.1, 0.5} so the crossover is visible in the JSON.
-//! - **masked_metrics_paper**: masked MAE+MAPE+RMSE over the full paper-scale
-//!   tensor via the dense scan vs the CSR merge-scan.
 //!
 //! Results (median seconds, speedup, density, nnz) are written to
 //! `BENCH_sparse.json` at the workspace root, then the headline case runs
@@ -22,7 +20,7 @@ use criterion::{black_box, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-use sthsl_data::{mae, mae_sparse, mape, mape_sparse, rmse, rmse_sparse, SynthCity, SynthConfig};
+use sthsl_data::{SynthCity, SynthConfig};
 use sthsl_tensor::{SparseTensor, Tensor};
 
 /// Median wall-clock seconds of `f` over `samples` runs (after one warm-up).
@@ -107,36 +105,18 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(42);
     let emb = Tensor::rand_normal(&[tc, 16], 0.0, 1.0, &mut rng);
-    let pred = Tensor::rand_normal(&[r, tc], 0.5, 0.5, &mut rng);
 
-    let mut cases = vec![
-        run_case(
-            "spmm_crime_paper_256x2920x16",
-            &crime_sp,
-            15,
-            || {
-                black_box(crime.matmul(&emb).unwrap());
-            },
-            || {
-                black_box(crime_sp.matmul_dense(&emb).unwrap());
-            },
-        ),
-        run_case(
-            "masked_metrics_paper_256x2920",
-            &crime_sp,
-            15,
-            || {
-                black_box(mae(&pred, &crime).unwrap());
-                black_box(mape(&pred, &crime).unwrap());
-                black_box(rmse(&pred, &crime).unwrap());
-            },
-            || {
-                black_box(mae_sparse(&pred, &crime_sp).unwrap());
-                black_box(mape_sparse(&pred, &crime_sp).unwrap());
-                black_box(rmse_sparse(&pred, &crime_sp).unwrap());
-            },
-        ),
-    ];
+    let mut cases = vec![run_case(
+        "spmm_crime_paper_256x2920x16",
+        &crime_sp,
+        15,
+        || {
+            black_box(crime.matmul(&emb).unwrap());
+        },
+        || {
+            black_box(crime_sp.matmul_dense(&emb).unwrap());
+        },
+    )];
 
     // Controlled-density sweep at the same shape.
     for density in [0.01, 0.1, 0.5] {

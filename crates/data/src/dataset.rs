@@ -1,7 +1,7 @@
 //! Windowed spatial-temporal crime datasets with the paper's splits.
 
 use crate::synth::SynthCity;
-use sthsl_tensor::{Result, SparseTensor, Tensor, TensorError};
+use sthsl_tensor::{Result, Tensor, TensorError};
 
 /// Which portion of the time axis a sample's *target* day falls in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,27 +222,12 @@ impl CrimeDataset {
     pub fn day(&self, day: usize) -> Result<Tensor> {
         self.tensor.slice_axis(1, day, 1)?.reshape(&[self.num_regions(), self.num_categories()])
     }
-
-    /// CSR ground truth `[R, C]` for one day — [`CrimeDataset::day`] with
-    /// only the non-zero counts stored. `day_sparse(d).to_dense()` is
-    /// bitwise-equal to `day(d)`.
-    pub fn day_sparse(&self, day: usize) -> Result<SparseTensor> {
-        SparseTensor::from_dense(&self.day(day)?)
-    }
-
-    /// The full crime tensor as a CSR matrix `[R, T·C]` (each row a region's
-    /// flattened `[T, C]` sequence) — the representation the sparse density
-    /// and metric paths consume. Lossless: `to_dense` reproduces
-    /// `self.tensor`'s bits.
-    pub fn tensor_sparse(&self) -> Result<SparseTensor> {
-        let (r, t, c) = (self.num_regions(), self.num_days(), self.num_categories());
-        SparseTensor::from_dense_view(&self.tensor, r, t * c)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{density_bucket, DensityBucket};
     use crate::synth::SynthConfig;
 
     fn dataset() -> CrimeDataset {
@@ -310,6 +295,34 @@ mod tests {
         // addresses — and they should be the majority or close to it.
         let sparse = dens.iter().filter(|&&d| d <= 0.5).count();
         assert!(sparse >= 30, "only {sparse}/100 sparse regions");
+    }
+
+    #[test]
+    fn region_density_counts_nonzero_elements() {
+        // R=3, T=4, C=2. Region 0: 2 non-zero of 8 → 0.25; region 1 all
+        // zero → 0.0 and no Fig. 6 bucket; region 2 all non-zero → 1.0.
+        let x = Tensor::from_vec(
+            vec![
+                1.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, // r0
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, // r1
+                2.0, 1.0, 1.0, 4.0, 1.0, 1.0, 5.0, 1.0, // r2
+            ],
+            &[3, 4, 2],
+        )
+        .unwrap();
+        let ds = CrimeDataset::new(
+            x,
+            3,
+            1,
+            vec!["a".into(), "b".into()],
+            DatasetConfig { window: 1, val_days: 0, train_fraction: 0.75 },
+        )
+        .unwrap();
+        let dens = ds.region_density();
+        assert_eq!(dens, vec![0.25, 0.0, 1.0]);
+        assert_eq!(density_bucket(dens[0]), Some(DensityBucket::VerySparse));
+        assert_eq!(density_bucket(dens[1]), None, "all-zero region must be excluded");
+        assert_eq!(density_bucket(dens[2]), Some(DensityBucket::VeryDense));
     }
 
     #[test]

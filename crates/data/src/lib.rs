@@ -8,8 +8,8 @@
 //!   substitution argument).
 //! - [`dataset`] — windowed spatial-temporal datasets with the paper's 7:1
 //!   train/test split and 30-day validation tail.
-//! - [`metrics`] — MAE / masked-MAPE / RMSE plus the density-degree tooling
-//!   behind Figures 1 and 6.
+//! - [`metrics`] — MAE / masked-MAPE / RMSE plus the Fig. 6 density-degree
+//!   buckets.
 //! - [`graph`] — grid region graphs (adjacency, normalised supports, random
 //!   walks) consumed by the GNN baselines.
 //! - [`predictor`] — the `Predictor` trait every model (ST-HSL and all
@@ -24,14 +24,11 @@ pub mod synth;
 
 pub use dataset::{CrimeDataset, DatasetConfig, Sample, Split};
 pub use loader::{
-    dataset_from_csv, dataset_from_csv_lenient, dataset_from_csv_path_io, dataset_from_csv_sparse,
-    parse_csv, parse_csv_lenient, rasterize_sparse, CrimeRecord, GridSpec, LoadStats, ParseReport,
+    dataset_from_csv, dataset_from_csv_lenient, dataset_from_csv_path_io, parse_csv,
+    parse_csv_lenient, CrimeRecord, GridSpec, LoadStats, ParseReport,
 };
-pub use metrics::{
-    density_bucket, density_degrees, density_degrees_sparse, mae, mae_sparse, mape, mape_sparse,
-    rmse, rmse_sparse, DensityBucket, EvalReport,
-};
+pub use metrics::{density_bucket, mae, mape, rmse, DensityBucket, EvalReport};
 pub use predictor::{FitReport, Predictor};
 pub use synth::{CategorySpec, SynthCity, SynthConfig};
 
-pub use sthsl_tensor::{Result, SparseTensor, Tensor, TensorError};
+pub use sthsl_tensor::{Result, Tensor, TensorError};

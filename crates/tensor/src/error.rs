@@ -19,12 +19,6 @@ pub enum TensorError {
     RankMismatch { op: &'static str, expected: usize, got: usize, shape: Vec<usize> },
     /// A free-form invalid-argument error (e.g. zero-sized kernel).
     Invalid(String),
-    /// A sparse triplet's coordinates fall outside the declared shape.
-    SparseIndexOutOfBounds { row: usize, col: usize, rows: usize, cols: usize },
-    /// Sparse triplets are not in strictly increasing `(row, col)` order.
-    SparseUnsorted { prev_row: usize, prev_col: usize, row: usize, col: usize },
-    /// Two sparse triplets name the same `(row, col)` coordinate.
-    SparseDuplicateEntry { row: usize, col: usize },
 }
 
 impl fmt::Display for TensorError {
@@ -46,15 +40,6 @@ impl fmt::Display for TensorError {
                 write!(f, "{op}: expected rank {expected}, got rank {got} with dims {shape:?}")
             }
             TensorError::Invalid(msg) => write!(f, "invalid argument: {msg}"),
-            TensorError::SparseIndexOutOfBounds { row, col, rows, cols } => {
-                write!(f, "sparse entry ({row}, {col}) out of bounds for [{rows}, {cols}]")
-            }
-            TensorError::SparseUnsorted { prev_row, prev_col, row, col } => {
-                write!(f, "sparse triplets unsorted: ({row}, {col}) after ({prev_row}, {prev_col})")
-            }
-            TensorError::SparseDuplicateEntry { row, col } => {
-                write!(f, "duplicate sparse entry at ({row}, {col})")
-            }
         }
     }
 }

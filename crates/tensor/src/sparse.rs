@@ -71,59 +71,6 @@ impl SparseTensor {
         Ok(SparseTensor { rows, cols, row_ptr, col_idx, values })
     }
 
-    /// [`SparseTensor::from_dense`] over a flattened view: interprets `dense`
-    /// (of any rank) as a `[rows, cols]` matrix in row-major order.
-    pub fn from_dense_view(dense: &Tensor, rows: usize, cols: usize) -> Result<SparseTensor> {
-        if rows * cols != dense.len() {
-            return Err(TensorError::LengthMismatch { expected: rows * cols, got: dense.len() });
-        }
-        let flat = dense.reshape(&[rows, cols])?;
-        SparseTensor::from_dense(&flat)
-    }
-
-    /// Build from explicit `(row, col, value)` triplets.
-    ///
-    /// Triplets must be sorted in strictly increasing `(row, col)` order —
-    /// out-of-bounds indices, unsorted input and duplicate coordinates all
-    /// return typed errors, never panic.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        triplets: &[(usize, usize, f32)],
-    ) -> Result<SparseTensor> {
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::with_capacity(triplets.len());
-        let mut values = Vec::with_capacity(triplets.len());
-        let mut prev: Option<(usize, usize)> = None;
-        for &(r, c, v) in triplets {
-            if r >= rows || c >= cols {
-                return Err(TensorError::SparseIndexOutOfBounds { row: r, col: c, rows, cols });
-            }
-            match prev {
-                Some(p) if p == (r, c) => {
-                    return Err(TensorError::SparseDuplicateEntry { row: r, col: c });
-                }
-                Some(p) if p > (r, c) => {
-                    return Err(TensorError::SparseUnsorted {
-                        prev_row: p.0,
-                        prev_col: p.1,
-                        row: r,
-                        col: c,
-                    });
-                }
-                _ => {}
-            }
-            prev = Some((r, c));
-            row_ptr[r + 1] += 1;
-            col_idx.push(c);
-            values.push(v);
-        }
-        for r in 0..rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        Ok(SparseTensor { rows, cols, row_ptr, col_idx, values })
-    }
-
     /// Materialise the dense `[rows, cols]` tensor. Bitwise-lossless for any
     /// matrix built with [`SparseTensor::from_dense`]: stored `-0.0`/NaN bits
     /// are written back verbatim and implicit entries are `+0.0`.
@@ -164,23 +111,6 @@ impl SparseTensor {
             return 0.0;
         }
         usize_to_f64(self.nnz()) / usize_to_f64(total)
-    }
-
-    /// Column indices and values of row `r`'s stored entries.
-    pub fn row(&self, r: usize) -> Result<(&[usize], &[f32])> {
-        if r >= self.rows {
-            return Err(TensorError::IndexOutOfRange { index: r, len: self.rows });
-        }
-        let span = self.row_ptr[r]..self.row_ptr[r + 1];
-        Ok((&self.col_idx[span.clone()], &self.values[span]))
-    }
-
-    /// Number of stored entries in row `r` (0 for an out-of-range row).
-    pub fn row_nnz(&self, r: usize) -> usize {
-        if r >= self.rows {
-            return 0;
-        }
-        self.row_ptr[r + 1] - self.row_ptr[r]
     }
 
     /// CSR transpose via a counting sort: within each output row, entries are
@@ -336,26 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn triplet_construction_matches_dense() {
-        let s =
-            SparseTensor::from_triplets(2, 3, &[(0, 1, 2.0), (1, 0, -1.0), (1, 2, 4.0)]).unwrap();
-        assert_eq!(s.to_dense().unwrap().data(), &[0.0, 2.0, 0.0, -1.0, 0.0, 4.0]);
-        assert_eq!(s.row(1).unwrap().0, &[0, 2]);
-        assert_eq!(s.row_nnz(0), 1);
-        assert_eq!(s.row_nnz(7), 0);
-    }
-
-    #[test]
-    fn triplet_validation_returns_typed_errors() {
-        let oob = SparseTensor::from_triplets(2, 2, &[(2, 0, 1.0)]).unwrap_err();
-        assert!(matches!(oob, TensorError::SparseIndexOutOfBounds { row: 2, .. }), "{oob}");
-        let unsorted = SparseTensor::from_triplets(2, 2, &[(1, 0, 1.0), (0, 1, 1.0)]).unwrap_err();
-        assert!(matches!(unsorted, TensorError::SparseUnsorted { .. }), "{unsorted}");
-        let dup = SparseTensor::from_triplets(2, 2, &[(0, 1, 1.0), (0, 1, 2.0)]).unwrap_err();
-        assert!(matches!(dup, TensorError::SparseDuplicateEntry { row: 0, col: 1 }), "{dup}");
-    }
-
-    #[test]
     fn spmm_matches_dense_bitwise() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(3);
@@ -388,19 +298,12 @@ mod tests {
 
     #[test]
     fn density_and_shape_accessors() {
-        let s = SparseTensor::from_triplets(4, 5, &[(0, 0, 1.0), (3, 4, 2.0)]).unwrap();
+        let mut d = Tensor::zeros(&[4, 5]);
+        d.data_mut()[0] = 1.0;
+        d.data_mut()[19] = 2.0;
+        let s = SparseTensor::from_dense(&d).unwrap();
         assert_eq!(s.shape(), [4, 5]);
         assert_eq!((s.rows(), s.cols(), s.nnz()), (4, 5, 2));
         assert!((s.density() - 0.1).abs() < 1e-12);
-        assert!(s.row(9).is_err());
-    }
-
-    #[test]
-    fn from_dense_view_flattens_higher_rank() {
-        let d = Tensor::from_vec(vec![0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0], &[2, 2, 2]).unwrap();
-        let s = SparseTensor::from_dense_view(&d, 2, 4).unwrap();
-        assert_eq!(s.nnz(), 3);
-        assert_eq!(s.to_dense().unwrap().data(), d.data());
-        assert!(SparseTensor::from_dense_view(&d, 3, 3).is_err());
     }
 }

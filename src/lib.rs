@@ -45,8 +45,8 @@ pub use sthsl_tensor as tensor;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use sthsl_autograd::{
-        latest_checkpoint, load_latest_verified, prune_checkpoints, quarantine, Checkpoint,
-        Gradients, Graph, ParamStore, PruneReport, TapeObserver, TapePhase, TrainerState, Var,
+        latest_checkpoint, load_latest_verified, quarantine, Checkpoint, Gradients, Graph,
+        ParamStore, PruneReport, TapeObserver, TapePhase, TrainerState, Var,
     };
     pub use sthsl_baselines::{all_auditable, all_baselines, BaselineConfig, GraphAudited};
     pub use sthsl_chaos::{

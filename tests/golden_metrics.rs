@@ -61,47 +61,6 @@ fn golden_raw_metric_functions_are_stable() {
     assert!((rmse - GOLDEN_RAW_RMSE).abs() < TOL, "raw RMSE drifted: {rmse:.12}");
 }
 
-#[test]
-fn golden_sparse_metric_path_equals_dense_pins() {
-    // The CSR metric path must reproduce the dense pins EXACTLY — not just
-    // within TOL: the sparse merge-scan performs the identical f64 operation
-    // sequence, so any bit of drift is a broken equivalence, not noise.
-    let data = golden_dataset();
-    let mut ha = sthsl::baselines::ha::HistoricalAverage::new(BaselineConfig::tiny());
-    ha.fit(&data).expect("fit");
-    let dense = ha.evaluate(&data).expect("dense evaluate");
-    let sparse = ha.evaluate_sparse(&data).expect("sparse evaluate");
-    assert_eq!(
-        dense.mae_overall().to_bits(),
-        sparse.mae_overall().to_bits(),
-        "sparse MAE path diverged from dense: {} vs {}",
-        dense.mae_overall(),
-        sparse.mae_overall()
-    );
-    assert_eq!(
-        dense.mape_overall().to_bits(),
-        sparse.mape_overall().to_bits(),
-        "sparse MAPE path diverged from dense"
-    );
-    for c in 0..data.num_categories() {
-        assert_eq!(dense.rmse(c).to_bits(), sparse.rmse(c).to_bits(), "category {c} RMSE");
-    }
-    // And the sparse path therefore satisfies the committed pins.
-    assert!((sparse.mae_overall() - GOLDEN_HA_MAE).abs() < TOL);
-    assert!((sparse.mape_overall() - GOLDEN_HA_MAPE).abs() < TOL);
-
-    // The free sparse metric functions hit the raw pins the same way.
-    let days: Vec<usize> = data.target_days(Split::Test);
-    let a = data.sample(days[0]).expect("sample").target;
-    let b_sparse = data.day_sparse(days[1]).expect("day_sparse");
-    let mae = sthsl::data::mae_sparse(&a, &b_sparse).expect("mae_sparse");
-    let mape = sthsl::data::mape_sparse(&a, &b_sparse).expect("mape_sparse");
-    let rmse = sthsl::data::rmse_sparse(&a, &b_sparse).expect("rmse_sparse");
-    assert!((mae - GOLDEN_RAW_MAE).abs() < TOL, "sparse raw MAE drifted: {mae:.12}");
-    assert!((mape - GOLDEN_RAW_MAPE).abs() < TOL, "sparse raw MAPE drifted: {mape:.12}");
-    assert!((rmse - GOLDEN_RAW_RMSE).abs() < TOL, "sparse raw RMSE drifted: {rmse:.12}");
-}
-
 // ---------------------------------------------------------------- the pins
 // Computed once on the seed revision of this test (see module docs for the
 // update protocol). Re-pinned when the metric accumulators were widened from

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sthsl::prelude::*;
-use sthsl::tensor::{broadcast_shapes, TensorError};
+use sthsl::tensor::broadcast_shapes;
 
 fn tensor_strategy(max: usize) -> impl Strategy<Value = Tensor> {
     (1usize..=max, 1usize..=max).prop_flat_map(|(r, c)| {
@@ -85,7 +85,12 @@ proptest! {
         let mut cfg = SynthConfig::nyc_like().scaled(4, 4, 40);
         cfg.seed = seed;
         let city = SynthCity::generate(&cfg).unwrap();
-        let d = sthsl::data::density_degrees(&city.tensor).unwrap();
+        let data = CrimeDataset::from_city(
+            &city,
+            DatasetConfig { window: 7, val_days: 5, train_fraction: 7.0 / 8.0 },
+        ).unwrap();
+        let d = data.region_density();
+        prop_assert_eq!(d.len(), 16);
         prop_assert!(d.iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
@@ -119,30 +124,6 @@ proptest! {
         // stored and +0.0 is not).
         let expect = t.data().iter().filter(|v| v.to_bits() != 0).count();
         prop_assert_eq!(sp.nnz(), expect);
-    }
-
-    #[test]
-    fn sparse_triplet_construction_never_panics(
-        (rows, cols) in (1usize..8, 1usize..8),
-        triplets in proptest::collection::vec(
-            (0usize..10, 0usize..10, -10.0f32..10.0), 0..16),
-    ) {
-        // Arbitrary (possibly out-of-bounds, unsorted, duplicated) triplet
-        // streams must produce a typed error or a valid tensor — never panic.
-        match SparseTensor::from_triplets(rows, cols, &triplets) {
-            Ok(sp) => {
-                // Accepted input: must have been in-bounds and strictly
-                // sorted, and must round-trip through dense.
-                let back = sp.to_dense().unwrap();
-                prop_assert_eq!(back.shape(), [rows, cols]);
-            }
-            Err(
-                TensorError::SparseIndexOutOfBounds { .. }
-                | TensorError::SparseUnsorted { .. }
-                | TensorError::SparseDuplicateEntry { .. },
-            ) => {}
-            Err(other) => prop_assert!(false, "unexpected error type: {:?}", other),
-        }
     }
 
     #[test]

@@ -8,12 +8,10 @@
 //! here therefore asserts `to_bits()` equality, not tolerance:
 //!
 //! 1. **Construction** round-trips: `from_dense → to_dense` is lossless
-//!    (including negative zeros, which are *stored*, not dropped), and
-//!    `from_triplets` agrees with a scatter into a dense buffer.
+//!    (including negative zeros, which are *stored*, not dropped).
 //! 2. **`sparse_matmul`** forward and both gradients match the dense op on
 //!    fuzzed shapes at densities {0.01, 0.1, 0.5} — on-pattern gradients
 //!    bitwise, off-pattern lhs gradients exactly zero.
-//! 3. **Masked metrics** computed from a CSR day equal the dense path.
 //!
 //! Every check runs at `STHSL_THREADS` 1 and 4 to prove the sparse kernels
 //! honour the same thread-count invariance as the dense ones.
@@ -22,7 +20,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Mutex;
 use sthsl::autograd::Graph;
 use sthsl::parallel::set_num_threads;
-use sthsl::tensor::{SparseTensor, Tensor, TensorError};
+use sthsl::tensor::{SparseTensor, Tensor};
 
 /// Thread counts the sparse kernels are exercised at (ISSUE: 1 and 4).
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -89,56 +87,6 @@ fn fuzzed_from_dense_round_trip_is_lossless() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn fuzzed_triplet_construction_matches_dense_scatter() {
-    let mut rng = StdRng::seed_from_u64(72);
-    for _ in 0..20 {
-        let (r, c) = (rng.gen_range(1usize..30), rng.gen_range(1usize..30));
-        // Draw a random subset of cells in sorted row-major order.
-        let mut triplets = Vec::new();
-        let mut dense = vec![0.0f32; r * c];
-        for row in 0..r {
-            for col in 0..c {
-                if rng.gen_range(0.0..1.0) < 0.2 {
-                    let v: f32 = rng.gen_range(-4.0f32..4.0);
-                    triplets.push((row, col, v));
-                    dense[row * c + col] = v;
-                }
-            }
-        }
-        let sp = SparseTensor::from_triplets(r, c, &triplets).expect("from_triplets");
-        assert_eq!(sp.nnz(), triplets.iter().filter(|t| t.2.to_bits() != 0).count());
-        let back = sp.to_dense().expect("to_dense");
-        for (i, (a, b)) in dense.iter().zip(back.data()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "triplet scatter mismatch at {i}");
-        }
-    }
-}
-
-#[test]
-fn fuzzed_triplet_errors_are_typed_never_panics() {
-    // Out-of-bounds, unsorted and duplicate triplets must surface as typed
-    // errors — the constructor is the validation boundary for loader input.
-    let oob = SparseTensor::from_triplets(2, 3, &[(0, 3, 1.0)]);
-    assert!(matches!(oob, Err(TensorError::SparseIndexOutOfBounds { .. })), "{oob:?}");
-    let unsorted = SparseTensor::from_triplets(4, 4, &[(1, 2, 1.0), (0, 1, 2.0)]);
-    assert!(matches!(unsorted, Err(TensorError::SparseUnsorted { .. })), "{unsorted:?}");
-    let dup = SparseTensor::from_triplets(4, 4, &[(1, 2, 1.0), (1, 2, 2.0)]);
-    assert!(matches!(dup, Err(TensorError::SparseDuplicateEntry { .. })), "{dup:?}");
-    // And a fuzzed sweep of malformed index streams: any outcome is fine as
-    // long as it is a `Result`, not a panic.
-    let mut rng = StdRng::seed_from_u64(73);
-    for _ in 0..200 {
-        let (r, c) = (rng.gen_range(1usize..6), rng.gen_range(1usize..6));
-        let triplets: Vec<(usize, usize, f32)> = (0..rng.gen_range(0usize..8))
-            .map(|_| {
-                (rng.gen_range(0usize..8), rng.gen_range(0usize..8), rng.gen_range(-1.0f32..1.0))
-            })
-            .collect();
-        let _ = SparseTensor::from_triplets(r, c, &triplets);
     }
 }
 
@@ -220,42 +168,5 @@ fn sparse_matmul_gradients_match_dense_across_threads() {
                 all
             });
         }
-    }
-}
-
-#[test]
-fn sparse_masked_metrics_bit_identical_to_dense_across_threads() {
-    use sthsl::data::{mae, mae_sparse, mape, mape_sparse, rmse, rmse_sparse};
-    let mut rng = StdRng::seed_from_u64(76);
-    for &density in &DENSITIES {
-        let (r, tc) = (rng.gen_range(4usize..24), rng.gen_range(4usize..24));
-        // Crime-count-like truth: nonnegative, mostly zero.
-        let mut truth = random_sparse_dense(r, tc, density, &mut rng);
-        truth.map_inplace(|v| v.abs().round());
-        let pred = Tensor::rand_normal(&[r, tc], 0.5, 0.5, &mut rng);
-        let sp = SparseTensor::from_dense(&truth).expect("from_dense");
-        let label = format!("metrics {r}x{tc} d={density}");
-        assert_bitwise_across_thread_counts(&label, || {
-            let pairs = [
-                (mae(&pred, &truth).unwrap(), mae_sparse(&pred, &sp).unwrap()),
-                (mape(&pred, &truth).unwrap(), mape_sparse(&pred, &sp).unwrap()),
-                (rmse(&pred, &truth).unwrap(), rmse_sparse(&pred, &sp).unwrap()),
-            ];
-            for (i, (d, s)) in pairs.iter().enumerate() {
-                assert_eq!(d.to_bits(), s.to_bits(), "{label}: metric {i} diverged: {d} vs {s}");
-            }
-            // Funnel the f64 metric bits through the f32 sweep harness by
-            // splitting each into its upper/lower words.
-            pairs
-                .iter()
-                .flat_map(|(d, _)| {
-                    let bits = d.to_bits();
-                    [
-                        f32::from_bits(u32::try_from(bits >> 32).unwrap_or(0)),
-                        f32::from_bits(u32::try_from(bits & 0xffff_ffff).unwrap_or(0)),
-                    ]
-                })
-                .collect()
-        });
     }
 }
