@@ -2,7 +2,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use sthsl_tensor::{Result, Tensor, TensorError};
 
 use crate::tape::{NodeSpec, OpKind, TapeSpec};
@@ -63,6 +63,19 @@ pub(crate) struct Node {
     pub label: Option<String>,
 }
 
+/// The graph's seeded stream plus a count of the words drawn from it.
+pub(crate) struct CountedRng {
+    rng: StdRng,
+    draws: u64,
+}
+
+impl RngCore for CountedRng {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.next_u64()
+    }
+}
+
 /// A single-use reverse-mode autodiff tape.
 ///
 /// Create one graph per forward/backward pass. Interior mutability lets op
@@ -70,7 +83,7 @@ pub(crate) struct Node {
 pub struct Graph {
     pub(crate) nodes: RefCell<Vec<Node>>,
     training: bool,
-    pub(crate) rng: RefCell<StdRng>,
+    pub(crate) rng: RefCell<CountedRng>,
     observer: RefCell<Option<Rc<dyn TapeObserver>>>,
 }
 
@@ -83,22 +96,39 @@ impl Default for Graph {
 impl Graph {
     /// Inference-mode graph (dropout disabled).
     pub fn new() -> Self {
-        Graph {
-            nodes: RefCell::new(Vec::with_capacity(256)),
-            training: false,
-            rng: RefCell::new(StdRng::seed_from_u64(0)),
-            observer: RefCell::new(None),
-        }
+        Graph::with_rng(false, StdRng::seed_from_u64(0))
     }
 
     /// Training-mode graph: dropout layers sample masks from the seeded RNG.
     pub fn training(seed: u64) -> Self {
+        Graph::training_at(seed, 0)
+    }
+
+    /// [`Graph::training`] whose stream starts `skip` draws into `seed`'s:
+    /// its first draw is the one a `training(seed)` graph makes after
+    /// `skip` others. Lets independent tapes share one logical stream, each
+    /// recording the part a single tape would have recorded at that offset.
+    pub fn training_at(seed: u64, skip: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..skip {
+            rng.next_u64();
+        }
+        Graph::with_rng(true, rng)
+    }
+
+    fn with_rng(training: bool, rng: StdRng) -> Self {
         Graph {
             nodes: RefCell::new(Vec::with_capacity(256)),
-            training: true,
-            rng: RefCell::new(StdRng::seed_from_u64(seed)),
+            training,
+            rng: RefCell::new(CountedRng { rng, draws: 0 }),
             observer: RefCell::new(None),
         }
+    }
+
+    /// Words drawn from this graph's RNG so far (one per dropout element;
+    /// the offset a [`Graph::training_at`] graph started from not included).
+    pub fn rng_draws(&self) -> u64 {
+        self.rng.borrow().draws
     }
 
     /// Attach a [`TapeObserver`] notified once per executed op (forward and
@@ -275,6 +305,34 @@ impl Graph {
     /// Reverse-mode sweep from `loss` (which must be a scalar) back to the
     /// leaves. Returns the full gradient table.
     pub fn backward(&self, loss: Var) -> Result<Gradients> {
+        let mut grads: Vec<Option<Tensor>> = vec![None; self.node_count()];
+        self.sweep(loss, 1.0, &mut |leaf, g| accumulate(&mut grads[leaf], g))?;
+        Ok(Gradients { grads })
+    }
+
+    /// The reverse sweep of [`Graph::backward`] seeded with `seed` instead
+    /// of 1, returning each leaf's gradient contributions unsummed, in the
+    /// order they arrive. [`Gradients::fold_terms`] over one graph's terms
+    /// equals `backward` bit for bit; over several graphs' terms it equals
+    /// the backward of one tape that recorded them all in sequence.
+    pub fn backward_terms(&self, loss: Var, seed: f32) -> Result<GradTerms> {
+        let mut terms: Vec<Vec<Tensor>> = vec![Vec::new(); self.node_count()];
+        self.sweep(loss, seed, &mut |leaf, g| {
+            terms[leaf].push(g);
+            Ok(())
+        })?;
+        Ok(GradTerms { terms })
+    }
+
+    /// The one reverse sweep: seeds `loss` with `seed`, sums the gradient
+    /// of every op node in arrival order and hands each contribution that
+    /// reaches a leaf to `leaf` as it arrives.
+    fn sweep(
+        &self,
+        loss: Var,
+        seed: f32,
+        leaf: &mut dyn FnMut(usize, Tensor) -> Result<()>,
+    ) -> Result<()> {
         let nodes = self.nodes.borrow();
         let loss_node = nodes
             .get(loss.0)
@@ -285,41 +343,51 @@ impl Graph {
                 loss_node.value.shape()
             )));
         }
-        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[loss.0] = Some(Tensor::full(loss_node.value.shape(), 1.0));
+        let is_leaf = |n: &Node| n.grad_fn.is_none() && n.requires_grad;
+        let seed = Tensor::full(loss_node.value.shape(), seed);
+        if is_leaf(loss_node) {
+            return leaf(loss.0, seed);
+        }
+        let mut grads: Vec<Option<Tensor>> = vec![None; loss.0 + 1];
+        grads[loss.0] = Some(seed);
 
         // The tape is already a topological order (parents precede children),
         // so a single reverse pass suffices.
         for id in (0..=loss.0).rev() {
             let Some(grad_out) = grads[id].take() else { continue };
             let node = &nodes[id];
-            if let Some(grad_fn) = &node.grad_fn {
-                let parent_vals: Vec<Rc<Tensor>> =
-                    node.parents.iter().map(|&p| Rc::clone(&nodes[p].value)).collect();
-                let parent_grads = grad_fn(&grad_out, &parent_vals, &node.value)?;
-                self.notify(
-                    node.kind.name(),
-                    TapePhase::Backward,
-                    grad_out.len() * std::mem::size_of::<f32>(),
-                );
-                debug_assert_eq!(parent_grads.len(), node.parents.len());
-                for (pi, pg) in node.parents.iter().zip(parent_grads) {
-                    let Some(pg) = pg else { continue };
-                    if !nodes[*pi].requires_grad {
-                        continue;
-                    }
-                    match &mut grads[*pi] {
-                        Some(acc) => acc.axpy(1.0, &pg)?,
-                        slot @ None => *slot = Some(pg),
-                    }
+            let Some(grad_fn) = &node.grad_fn else { continue };
+            let parent_vals: Vec<Rc<Tensor>> =
+                node.parents.iter().map(|&p| Rc::clone(&nodes[p].value)).collect();
+            let parent_grads = grad_fn(&grad_out, &parent_vals, &node.value)?;
+            self.notify(
+                node.kind.name(),
+                TapePhase::Backward,
+                grad_out.len() * std::mem::size_of::<f32>(),
+            );
+            debug_assert_eq!(parent_grads.len(), node.parents.len());
+            for (&pi, pg) in node.parents.iter().zip(parent_grads) {
+                let Some(pg) = pg else { continue };
+                if is_leaf(&nodes[pi]) {
+                    leaf(pi, pg)?;
+                } else if nodes[pi].requires_grad {
+                    accumulate(&mut grads[pi], pg)?;
                 }
             }
-            // Keep leaf gradients; op gradients were taken and dropped.
-            if node.grad_fn.is_none() && node.requires_grad {
-                grads[id] = Some(grad_out);
-            }
         }
-        Ok(Gradients { grads })
+        Ok(())
+    }
+}
+
+/// Add one gradient contribution to a slot: the first is moved in, later
+/// ones are `axpy`'d onto it — the order every gradient sum follows.
+fn accumulate(slot: &mut Option<Tensor>, g: Tensor) -> Result<()> {
+    match slot {
+        Some(acc) => acc.axpy(1.0, &g),
+        None => {
+            *slot = Some(g);
+            Ok(())
+        }
     }
 }
 
@@ -350,12 +418,39 @@ fn stale_var(op: &str, v: Var, node_count: usize) -> TensorError {
     ))
 }
 
+/// Each leaf's unsummed gradient contributions from one sweep, in arrival
+/// order, indexed by [`Var`] (see [`Graph::backward_terms`]).
+pub struct GradTerms {
+    terms: Vec<Vec<Tensor>>,
+}
+
 /// Gradient table produced by [`Graph::backward`], indexed by [`Var`].
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
+    /// Sum the terms of several tapes into one table, as the backward of a
+    /// single tape that recorded the same losses one after another and
+    /// summed them would: the reverse sweep meets the last-recorded loss's
+    /// consumers first, so the tapes are folded last first, each leaf's
+    /// terms in arrival order, the first moved in and the rest `axpy`'d.
+    ///
+    /// Folding per-tape *totals* instead would reassociate the sum of any
+    /// leaf with several consumers per tape, and change its bits.
+    pub fn fold_terms(tapes: Vec<GradTerms>) -> Result<Gradients> {
+        let width = tapes.iter().map(|t| t.terms.len()).max().unwrap_or(0);
+        let mut grads: Vec<Option<Tensor>> = vec![None; width];
+        for tape in tapes.into_iter().rev() {
+            for (slot, terms) in grads.iter_mut().zip(tape.terms) {
+                for g in terms {
+                    accumulate(slot, g)?;
+                }
+            }
+        }
+        Ok(Gradients { grads })
+    }
+
     /// Gradient of the loss w.r.t. `v`, if any flowed there.
     pub fn get(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
@@ -436,6 +531,97 @@ mod tests {
         assert!(g.clear_observer().is_some());
         g.scale(x, 2.0);
         assert!(rec.0.borrow().len() == 3, "detached observer must not be notified");
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Values spread over several binades, so reassociating a sum of them
+    /// changes its bits.
+    fn spread(n: usize, salt: u32) -> Tensor {
+        let data = (0..n as u32)
+            .map(|i| {
+                let h = (i ^ salt).wrapping_mul(2_654_435_761) >> 8;
+                (h % 2000) as f32 / 97.0 * if h.is_multiple_of(3) { -1e-3 } else { 1.7 }
+            })
+            .collect();
+        Tensor::from_vec(data, &[n]).unwrap()
+    }
+
+    /// One sample's loss with several consumers of each leaf: `w` feeds a
+    /// mul, a square and an add; `b` feeds two adds.
+    fn sample_loss(g: &Graph, w: Var, b: Var, x: &Tensor) -> Var {
+        let x = g.constant(x.clone());
+        let wx = g.mul(w, x).unwrap();
+        let h = g.add(wx, b).unwrap();
+        let sq = g.square(w);
+        let h = g.add(h, sq).unwrap();
+        let h = g.add(h, b).unwrap();
+        let h = g.mul(h, h).unwrap();
+        g.sum_all(h)
+    }
+
+    #[test]
+    fn folded_terms_equal_backward_bitwise_with_multi_consumer_leaves() {
+        let g = Graph::new();
+        let w = g.leaf(spread(64, 1));
+        let b = g.leaf(spread(64, 2));
+        let loss = sample_loss(&g, w, b, &spread(64, 3));
+        let whole = g.backward(loss).unwrap();
+        let folded = Gradients::fold_terms(vec![g.backward_terms(loss, 1.0).unwrap()]).unwrap();
+        for v in [w, b] {
+            assert_eq!(bits(whole.get(v).unwrap()), bits(folded.get(v).unwrap()));
+        }
+    }
+
+    #[test]
+    fn folded_tapes_equal_one_batch_tape_bitwise() {
+        let xs: Vec<Tensor> = (0..4).map(|k| spread(64, 10 + k)).collect();
+        let inv_n = 1.0 / xs.len() as f32;
+        let (w0, b0) = (spread(64, 1), spread(64, 2));
+
+        let batch = Graph::new();
+        let (w, b) = (batch.leaf(w0.clone()), batch.leaf(b0.clone()));
+        let mut loss = batch.constant(Tensor::scalar(0.0));
+        for x in &xs {
+            let l = sample_loss(&batch, w, b, x);
+            loss = batch.add(loss, l).unwrap();
+        }
+        let loss = batch.scale(loss, inv_n);
+        let whole = batch.backward(loss).unwrap();
+
+        let terms = xs
+            .iter()
+            .map(|x| {
+                let g = Graph::new();
+                let (w, b) = (g.leaf(w0.clone()), g.leaf(b0.clone()));
+                let l = sample_loss(&g, w, b, x);
+                g.backward_terms(l, inv_n).unwrap()
+            })
+            .collect();
+        let folded = Gradients::fold_terms(terms).unwrap();
+        for v in [w, b] {
+            assert_eq!(bits(whole.get(v).unwrap()), bits(folded.get(v).unwrap()));
+        }
+    }
+
+    #[test]
+    fn training_at_continues_the_stream_after_skipped_draws() {
+        let ones = |n: usize| Tensor::ones(&[n]);
+        let whole = Graph::training(42);
+        let x = whole.constant(ones(37));
+        whole.dropout(x, 0.5).unwrap();
+        let y = whole.constant(ones(50));
+        let tail = whole.dropout(y, 0.5).unwrap();
+        assert_eq!(whole.rng_draws(), 87);
+
+        let skipped = Graph::training_at(42, 37);
+        let y2 = skipped.constant(ones(50));
+        let tail2 = skipped.dropout(y2, 0.5).unwrap();
+        assert_eq!(skipped.rng_draws(), 50, "the skipped words are not counted");
+        assert_eq!(bits(&whole.value(tail)), bits(&skipped.value(tail2)));
+        assert_eq!(Graph::new().rng_draws(), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use checkpoint::{
     TrainerState,
 };
 pub use gradcheck::{gradcheck, gradcheck_tol, try_gradcheck_tol};
-pub use graph::{Gradients, Graph, TapeObserver, TapePhase, Var};
+pub use graph::{GradTerms, Gradients, Graph, TapeObserver, TapePhase, Var};
 pub use optim::AdamState;
 pub use params::{ParamId, ParamStore, ParamVars};
 pub use tape::{NodeSpec, OpKind, PartitionStrategy, ReductionOrder, ScheduleMeta, TapeSpec};

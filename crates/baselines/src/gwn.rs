@@ -60,8 +60,11 @@ impl Net {
                 Some(s) => g.add(s, sk)?,
                 None => sk,
             });
-            // Residual.
-            h = g.add(gated, h)?;
+            // Residual into the next layer; the last layer's output is read
+            // only through its skip, so it has none.
+            if i + 1 < self.layers.len() {
+                h = g.add(gated, h)?;
+            }
         }
         let Some(skip) = skip_sum else {
             return Err(TensorError::Invalid("gwn: no TCN layers configured".into()));

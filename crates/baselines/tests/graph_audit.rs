@@ -4,6 +4,7 @@
 
 use sthsl_baselines::{all_auditable, BaselineConfig};
 use sthsl_data::{CrimeDataset, DatasetConfig, SynthCity, SynthConfig};
+use sthsl_graphcheck::{Pass, Severity};
 
 fn tiny_dataset() -> CrimeDataset {
     let city = SynthCity::generate(&SynthConfig::nyc_like().scaled(4, 4, 80)).unwrap();
@@ -30,6 +31,20 @@ fn every_neural_baseline_certifies_clean() {
             report.render()
         );
         assert!(report.param_count > 0, "{}: audit saw no parameters", model.name());
+        // A grad-flow warning is a detached or dead node: work the step
+        // does and the loss never reads.
+        let grad_flow_warnings = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.pass == Pass::GradFlow && d.severity == Severity::Warning)
+            .count();
+        assert_eq!(
+            grad_flow_warnings,
+            0,
+            "{}: grad-flow warnings:\n{}",
+            model.name(),
+            report.render()
+        );
     }
 }
 

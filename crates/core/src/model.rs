@@ -224,8 +224,9 @@ impl StHsl {
 
     /// Joint training loss for one sample (Eq. 10, with the squared error
     /// mean-normalised so λ1/λ2 are scale-free; λ3 is realised as Adam
-    /// weight decay).
-    pub(crate) fn sample_loss(
+    /// weight decay), recorded on `g` over the parameters injected as `pv`.
+    /// `corrupt_perm` enables the infomax corruption branch.
+    pub fn sample_loss(
         &self,
         g: &Graph,
         pv: &ParamVars,
@@ -472,6 +473,17 @@ impl StHsl {
         data: &CrimeDataset,
         max_accum_depth: Option<u64>,
     ) -> Result<AuditReport> {
+        self.training_audit(data, max_accum_depth).map(|(report, _)| report)
+    }
+
+    /// [`Self::graph_audit_with`], plus the RNG draws the audited
+    /// `sample_loss` consumed: the per-sample draw count every training
+    /// sample's dropout consumes.
+    pub(crate) fn training_audit(
+        &self,
+        data: &CrimeDataset,
+        max_accum_depth: Option<u64>,
+    ) -> Result<(AuditReport, u64)> {
         let mut opts = AuditOptions {
             allow_unreachable: self.expected_inactive_prefixes(),
             ..AuditOptions::default()
@@ -479,7 +491,9 @@ impl StHsl {
         if let Some(depth) = max_accum_depth {
             opts.max_accum_depth = depth;
         }
-        Ok(audit_graph(&self.audit_artifacts(data)?, &opts))
+        let artifacts = self.audit_artifacts(data)?;
+        let draws = artifacts.0.rng_draws();
+        Ok((audit_graph(&artifacts, &opts), draws))
     }
 
     /// Build the inference-mode (serving) graph: one forward pass to the

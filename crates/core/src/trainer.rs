@@ -25,6 +25,11 @@
 //!   the last epoch-start snapshot, halves the learning-rate scale and
 //!   retries, up to [`TrainOptions::max_divergence_retries`]; when the
 //!   budget is exhausted it stops gracefully with the last good parameters.
+//! * **Sample sharding** — each sample of a batch runs forward and backward
+//!   on a private tape in its own pool shard, and the per-sample gradient
+//!   terms are folded in the order one batch tape would sum them, so every
+//!   loss, gradient and checkpoint is bit-identical at any thread count
+//!   (DESIGN.md §6b).
 //! * **Early stopping** — with [`TrainOptions::patience`], validation loss
 //!   is tracked each epoch, the best parameters are kept (in memory and as
 //!   `best.params` in the checkpoint dir) and restored when training ends.
@@ -47,10 +52,10 @@ use sthsl_autograd::checkpoint::{
     sweep_stale_tmp, Checkpoint, TrainerState,
 };
 use sthsl_autograd::optim::{self, Adam, AdamState, Optimizer};
-use sthsl_autograd::{Graph, ParamStore};
+use sthsl_autograd::{GradTerms, Gradients, Graph, ParamStore, ParamVars};
 use sthsl_chaos::{retry, Io, RealIo, RecoveryAction, RetryPolicy, Sleeper, ThreadSleeper};
 use sthsl_data::{CrimeDataset, FitReport, Split};
-use sthsl_tensor::{Result, Tensor, TensorError};
+use sthsl_tensor::{map_shards, Result, Tensor, TensorError};
 
 /// Domain-mixing salts so each consumer of the seed gets an independent
 /// stream.
@@ -100,8 +105,8 @@ pub struct BatchCtx {
     pub global_step: u64,
     /// This batch's mean loss.
     pub loss: f64,
-    /// Global gradient norm for this batch. `None` before the backward pass
-    /// has run (i.e. in [`TrainHooks::inject_fault`]), `Some` by the time
+    /// Global gradient norm for this batch. `None` while the loss is still
+    /// unchecked (i.e. in [`TrainHooks::inject_fault`]), `Some` by the time
     /// [`TrainHooks::on_batch_end`] fires.
     pub grad_norm: Option<f64>,
     /// Effective learning rate of this batch's step (schedule × backoff
@@ -141,9 +146,11 @@ pub struct DivergenceCtx {
 ///
 /// All methods have no-op defaults; implement only what you need.
 pub trait TrainHooks {
-    /// Called after each batch's loss is computed, before it is used.
-    /// Returning a [`Fault`] injects it — the loop cannot distinguish an
-    /// injected NaN from a real one, which is the point.
+    /// Called after each batch's loss is computed, before the optimizer
+    /// uses it. The batch's backward pass has already run by then; a faulted
+    /// batch's gradients are dropped unused. Returning a [`Fault`] injects
+    /// it — the loop cannot distinguish an injected NaN from a real one,
+    /// which is the point.
     fn inject_fault(&mut self, _ctx: &BatchCtx) -> Option<Fault> {
         None
     }
@@ -332,7 +339,7 @@ impl TrainLoop {
         // actually builds — shape consistency, parameter reachability,
         // NaN hazards, memory budget — and refuse to spend a single optimizer
         // step on a miswired model.
-        let audit = model.graph_audit(data)?;
+        let (audit, draws_per_sample) = model.training_audit(data, None)?;
         if audit.has_errors() {
             return Err(TensorError::Invalid(format!(
                 "graph audit failed; refusing to train a miswired model\n{}",
@@ -375,22 +382,28 @@ impl TrainLoop {
                         continue;
                     }
                     state.global_step += 1;
-                    let g = Graph::training(cfg.seed ^ state.global_step);
-                    let pv = model.store.inject(&g);
                     // Corruption permutations come from a per-batch RNG seeded
                     // by (seed, global_step): replayable from the counters.
                     let mut perm_rng =
                         StdRng::seed_from_u64(mix(cfg.seed, PERM_SALT, state.global_step));
-                    let mut loss = g.constant(Tensor::scalar(0.0));
-                    for &day in *chunk {
-                        let sample = data.sample(day)?;
-                        let z = data.zscore(&sample.input);
-                        let perm = corruption_permutation(r, &mut perm_rng);
-                        let l = model.sample_loss(&g, &pv, &z, &sample.target, Some(&perm))?;
-                        loss = g.add(loss, l)?;
-                    }
-                    let loss = g.scale(loss, 1.0 / chunk.len() as f32);
-                    let mut lv = g.value(loss).item()?;
+                    let samples = chunk
+                        .iter()
+                        .map(|&day| {
+                            let sample = data.sample(day)?;
+                            Ok(BatchSample {
+                                z: data.zscore(&sample.input),
+                                target: sample.target,
+                                perm: corruption_permutation(r, &mut perm_rng),
+                            })
+                        })
+                        .collect::<Result<Vec<_>>>()?;
+                    let step = sharded_step(
+                        model,
+                        cfg.seed ^ state.global_step,
+                        &samples,
+                        draws_per_sample,
+                    )?;
+                    let mut lv = step.loss;
 
                     let mut ctx = BatchCtx {
                         epoch,
@@ -429,9 +442,9 @@ impl TrainLoop {
                         continue 'attempt;
                     }
 
-                    let grads = g.backward(loss)?;
-                    ctx.grad_norm = Some(optim::global_grad_norm(&model.store, &pv, &grads));
-                    opt.step(&mut model.store, &pv, &grads)?;
+                    ctx.grad_norm =
+                        Some(optim::global_grad_norm(&model.store, &step.pv, &step.grads));
+                    opt.step(&mut model.store, &step.pv, &step.grads)?;
                     state.batch_in_epoch = bi as u64 + 1;
                     state.epoch_loss_accum += f64::from(lv);
 
@@ -531,21 +544,26 @@ impl TrainLoop {
     }
 
     /// Mean loss over the validation split, computed deterministically (no
-    /// dropout, no corruption branch).
+    /// dropout, no corruption branch). Each day is its own pool shard; the
+    /// losses are summed in day order, so the mean does not depend on the
+    /// thread count.
     fn validation_loss(
         &self,
         model: &StHsl,
         data: &CrimeDataset,
         val_days: &[usize],
     ) -> Result<f64> {
-        let mut total = 0.0f64;
-        for &day in val_days {
+        let losses = map_shards(val_days.len(), &|i| -> Result<f32> {
             let g = Graph::new();
             let pv = model.store.inject(&g);
-            let sample = data.sample(day)?;
+            let sample = data.sample(val_days[i])?;
             let z = data.zscore(&sample.input);
             let l = model.sample_loss(&g, &pv, &z, &sample.target, None)?;
-            total += f64::from(g.value(l).item()?);
+            g.value(l).item()
+        });
+        let mut total = 0.0f64;
+        for l in losses {
+            total += f64::from(l?);
         }
         Ok(total / val_days.len() as f64)
     }
@@ -633,6 +651,66 @@ impl TrainLoop {
         }
         Ok(())
     }
+}
+
+/// One sample of a batch, drawn serially before the batch is sharded.
+struct BatchSample {
+    z: Tensor,
+    target: Tensor,
+    perm: Vec<usize>,
+}
+
+/// What one training step hands the optimizer.
+struct BatchStep {
+    /// Mean loss over the batch.
+    loss: f32,
+    grads: Gradients,
+    pv: ParamVars,
+}
+
+/// Forward and backward of one training batch, each sample on a private
+/// tape in its own pool shard, bit-identical to one tape that records the
+/// samples in order, sums their losses onto a zero and scales the sum by
+/// `1/n`:
+///
+/// - Sample `k` draws its dropout masks `k · draws_per_sample` words into
+///   `seed`'s stream, where that tape's `k`-th sample would start. A tape
+///   that consumed any other count is a typed error, not a silent drift.
+/// - Its backward is seeded with the `1/n` the scale node would deliver.
+/// - [`Gradients::fold_terms`] sums the leaf terms in that tape's sweep
+///   order, and the loss is summed in f32 in its order.
+fn sharded_step(
+    model: &StHsl,
+    seed: u64,
+    samples: &[BatchSample],
+    draws_per_sample: u64,
+) -> Result<BatchStep> {
+    let inv_n = 1.0 / samples.len() as f32;
+    let shards = map_shards(samples.len(), &|k| -> Result<(f32, GradTerms, ParamVars)> {
+        let s = &samples[k];
+        let g = Graph::training_at(seed, k as u64 * draws_per_sample);
+        let pv = model.store.inject(&g);
+        let l = model.sample_loss(&g, &pv, &s.z, &s.target, Some(&s.perm))?;
+        if g.rng_draws() != draws_per_sample {
+            return Err(TensorError::Invalid(format!(
+                "train: sample {k} drew {} dropout words, the audited sample {draws_per_sample}; \
+                 its masks would not be the ones a single batch tape draws",
+                g.rng_draws()
+            )));
+        }
+        Ok((g.value(l).item()?, g.backward_terms(l, inv_n)?, pv))
+    });
+    let mut sum = 0.0f32;
+    let mut terms = Vec::with_capacity(shards.len());
+    let mut pv = None;
+    for shard in shards {
+        let (loss, t, vars) = shard?;
+        sum += loss;
+        terms.push(t);
+        pv.get_or_insert(vars);
+    }
+    let pv = pv.ok_or_else(|| TensorError::Invalid("train: empty batch".into()))?;
+    Ok(BatchStep { loss: sum * inv_n, grads: Gradients::fold_terms(terms)?, pv })
 }
 
 fn ckpt_err(e: std::io::Error) -> TensorError {
@@ -817,6 +895,32 @@ mod tests {
         // after the budget and the (initial) parameters stay finite.
         assert_eq!(outcome.divergence_events, 2);
         assert!(!model.store.any_non_finite());
+    }
+
+    #[test]
+    fn a_wrong_draw_count_is_a_typed_error_not_a_drift() {
+        let data = dataset();
+        let model = StHsl::new(cfg(), &data).unwrap();
+        let (_, draws) = model.training_audit(&data, None).unwrap();
+        assert!(draws > 0, "the full model draws dropout masks");
+        let day = data.target_days(Split::Train)[0];
+        let batch = || -> Vec<BatchSample> {
+            (0..2)
+                .map(|_| {
+                    let s = data.sample(day).unwrap();
+                    let perm = (0..data.num_regions()).rev().collect();
+                    BatchSample { z: data.zscore(&s.input), target: s.target, perm }
+                })
+                .collect()
+        };
+        assert!(sharded_step(&model, 7, &batch(), draws).is_ok());
+        for wrong in [draws - 1, draws + 1] {
+            let Err(err) = sharded_step(&model, 7, &batch(), wrong) else {
+                panic!("draw count {wrong} (audited {draws}) accepted");
+            };
+            assert!(matches!(err, TensorError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains("dropout words"), "{err}");
+        }
     }
 
     #[test]

@@ -278,6 +278,22 @@ pub fn run_shards(shards: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
+/// Run `f(0..n)` as `n` pool shards and return the results in shard order.
+///
+/// Each index is its own shard, claimed dynamically, so uneven shards
+/// balance across the workers; which thread ran a shard never shows in the
+/// output. Nested parallel sections inside `f` run serially on that shard's
+/// thread. A panicking shard is rethrown verbatim once every shard drained,
+/// exactly as in [`run_shards`].
+pub fn map_shards<T: Send>(n: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    run_shards(n, &|i| *recover(slots[i].lock()) = Some(f(i)));
+    // `run_shards` returned normally, so every shard ran and filled its slot.
+    let out: Vec<T> = slots.into_iter().filter_map(|s| recover(s.into_inner())).collect();
+    debug_assert_eq!(out.len(), n, "map_shards: a shard left its slot empty");
+    out
+}
+
 // ----------------------------------------------------------- partition helpers
 
 /// Split `[0, n)` into `parts` contiguous near-equal ranges (the first
@@ -561,6 +577,42 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn map_shards_returns_results_in_shard_order() {
+        let _guard = config_lock();
+        for threads in [1, 2, 4, 8] {
+            set_num_threads(threads);
+            for n in [0usize, 1, 2, 3, 17] {
+                let got = map_shards(n, &|i| {
+                    // Uneven shards finish out of order on a multi-core host.
+                    std::thread::sleep(std::time::Duration::from_micros(((n - i) * 50) as u64));
+                    i * i
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(got, want, "threads={threads} n={n}");
+            }
+        }
+        set_num_threads(0);
+    }
+
+    #[test]
+    fn map_shards_rethrows_a_shard_panic() {
+        let _guard = config_lock();
+        set_num_threads(4);
+        let result = std::panic::catch_unwind(|| {
+            map_shards(6, &|i| {
+                if i == 3 {
+                    panic!("shard 3 failed");
+                }
+                i
+            })
+        });
+        let payload = result.expect_err("shard panic must surface");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("shard 3 failed"));
+        set_num_threads(0);
+        assert_eq!(map_shards(3, &|i| i + 1), vec![1, 2, 3], "pool usable after a panic");
     }
 
     #[test]

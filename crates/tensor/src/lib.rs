@@ -35,5 +35,11 @@ pub use shape::{broadcast_shapes, flatten_index, for_each_index, strides_of, Sha
 pub use sparse::SparseTensor;
 pub use tensor::Tensor;
 
+/// Ordered map over pool shards (see [`sthsl_parallel::map_shards`]),
+/// re-exported so model crates can run independent work items, such as the
+/// samples of a training batch, on the pool without a direct dependency on
+/// it.
+pub use sthsl_parallel::map_shards;
+
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -750,7 +750,8 @@ const USAGE: &str =
   common flags:
     --city nyc|chi   synthetic city preset (default nyc)
     --rows N --cols N --days N --window N --seed N
-    --threads N      kernel worker threads (default: $STHSL_THREADS or core count);
+    --threads N      worker threads for the kernels and for the samples of a
+                     training batch (default: $STHSL_THREADS or core count);
                      results are identical at any setting
     --trace-out PATH write a structured JSONL trace of the run to PATH
     --help, -h       print this message
