@@ -1,6 +1,6 @@
 //! Regenerates Table V: computational cost — wall-clock seconds per training
-//! epoch for every model on both cities. Absolute numbers reflect this
-//! machine (single CPU core) rather than the paper's GTX 1080 Ti; the
+//! epoch for every model on both cities. Absolute numbers reflect the CPU
+//! host (its default thread count) rather than the paper's GTX 1080 Ti; the
 //! *relative* ordering is the comparable quantity.
 
 use sthsl_baselines::all_baselines;

@@ -2,8 +2,8 @@
 //!
 //! The paper's configuration (256 regions, 730 days, 30 epochs, d=16,
 //! H=128) is available as [`Scale::Paper`]; `quick` and `medium` shrink the
-//! city, span and training budget so the full table suite runs on a
-//! single-core machine while preserving every architectural setting.
+//! city, span and training budget so the full table suite runs on a few CPU
+//! cores while preserving every architectural setting.
 
 use sthsl_baselines::BaselineConfig;
 use sthsl_core::StHslConfig;
@@ -31,7 +31,7 @@ impl City {
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Single-core friendly: 8×8 regions, 240 days.
+    /// CPU friendly: 8×8 regions, 240 days.
     Quick,
     /// Intermediate: 10×10 regions, 365 days.
     Medium,

@@ -366,10 +366,10 @@ impl StHsl {
 
     /// Batched inference: predict every window in `windows` on a single
     /// graph with a single parameter injection. Each prediction is
-    /// bit-identical to a standalone [`Predictor::predict`] call — the same
-    /// op sequence runs over the same values — while amortising the graph
-    /// and injection setup across the batch. This is the micro-batch entry
-    /// point the serving layer drains requests through.
+    /// bit-identical to a standalone [`Predictor::predict`] call — which is
+    /// this with a batch of one — while amortising the graph and injection
+    /// setup across the batch. This is the micro-batch entry point the
+    /// serving layer drains requests through.
     pub fn predict_batch(&self, data: &CrimeDataset, windows: &[&Tensor]) -> Result<Vec<Tensor>> {
         let g = Graph::new();
         let pv = self.store.inject(&g);
@@ -575,11 +575,9 @@ impl Predictor for StHsl {
     }
 
     fn predict(&self, data: &CrimeDataset, window: &Tensor) -> Result<Tensor> {
-        let g = Graph::new();
-        let pv = self.store.inject(&g);
-        let z = data.zscore(window);
-        let art = self.forward(&g, &pv, &z, Objective::Predict)?;
-        Ok(sanitize_counts(g.value(art.pred).as_ref().clone()))
+        self.predict_batch(data, &[window])?.pop().ok_or_else(|| {
+            TensorError::Invalid("predict: a batch of one gave no prediction".into())
+        })
     }
 }
 

@@ -6,7 +6,8 @@
 //! it bit for bit: every batch loss, every gradient norm and the final
 //! parameters, at 1, 2, 4 and 8 threads, for batch sizes with and without a
 //! partial last chunk, and for the ablations that change the number of
-//! dropout draws per sample.
+//! dropout draws per sample. Validation, which runs each day in its own
+//! shard, must likewise give the same loss bits at every thread count.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -15,7 +16,8 @@ use sthsl_autograd::optim::{global_grad_norm, Adam, Optimizer};
 use sthsl_autograd::{Graph, ParamStore};
 use sthsl_core::infomax::corruption_permutation;
 use sthsl_core::{
-    Ablation, BatchCtx, HookAction, StHsl, StHslConfig, TrainHooks, TrainLoop, TrainOptions,
+    Ablation, BatchCtx, EpochCtx, HookAction, StHsl, StHslConfig, TrainHooks, TrainLoop,
+    TrainOptions,
 };
 use sthsl_data::{CrimeDataset, DatasetConfig, Split, SynthCity, SynthConfig};
 use sthsl_tensor::Tensor;
@@ -174,6 +176,57 @@ fn sharded_step_matches_single_tape_batches_for_every_draw_count() {
     draws.sort_unstable();
     draws.dedup();
     assert!(draws.len() > 1, "the variants must differ in dropout draws per sample: {draws:?}");
+}
+
+/// Validation loss bits of every epoch, in order.
+#[derive(Default)]
+struct ValRecorder(Vec<u64>);
+
+impl TrainHooks for ValRecorder {
+    fn on_epoch_end(&mut self, ctx: &EpochCtx) -> HookAction {
+        self.0.push(ctx.val_loss.expect("validation loss at epoch end").to_bits());
+        HookAction::Continue
+    }
+}
+
+/// Mean validation loss of `model`'s parameters: one inference tape per
+/// day, summed in day order in f64.
+fn serial_validation_loss(model: &StHsl, data: &CrimeDataset) -> f64 {
+    let store = model.export_checkpoint().params;
+    let days = data.target_days(Split::Val);
+    let mut total = 0.0f64;
+    for &day in &days {
+        let g = Graph::new();
+        let pv = store.inject(&g);
+        let sample = data.sample(day).unwrap();
+        let z = data.zscore(&sample.input);
+        let l = model.sample_loss(&g, &pv, &z, &sample.target, None).unwrap();
+        total += f64::from(g.value(l).item().unwrap());
+    }
+    total / days.len() as f64
+}
+
+#[test]
+fn validation_loss_is_bit_identical_at_every_thread_count() {
+    let _guard = config_lock();
+    let data = dataset();
+    let cfg = cfg(3, Ablation::full());
+    let opts = TrainOptions { validate: true, ..TrainOptions::default() };
+    let mut first: Option<Vec<u64>> = None;
+    for t in [1, 2, 4, 8] {
+        sthsl_parallel::set_num_threads(t);
+        let mut model = StHsl::new(cfg.clone(), &data).unwrap();
+        let mut hooks = ValRecorder::default();
+        TrainLoop::new(opts.clone()).run(&mut model, &data, &mut hooks).unwrap();
+        assert_eq!(hooks.0.len(), cfg.epochs, "{t} threads: one validation loss per epoch");
+        let want = serial_validation_loss(&model, &data).to_bits();
+        assert_eq!(hooks.0.last(), Some(&want), "{t} threads: last epoch vs serial reference");
+        match &first {
+            Some(f) => assert_eq!(&hooks.0, f, "{t} threads: validation losses differ from 1"),
+            None => first = Some(hooks.0),
+        }
+    }
+    sthsl_parallel::set_num_threads(0);
 }
 
 /// Dropout words one training sample draws under `cfg`.
